@@ -81,9 +81,9 @@ class LoadBalancer:
     def invalidate(self) -> None:
         """Fleet membership or predictor state changed: drop any memos.
 
-        The router calls this on every activate/drain so stateful policies
-        (``least-ect``'s priming memo) never act on a stale fleet view.
-        The base policies keep no cross-request memos, so this is a no-op.
+        The router calls this on every activate/drain so a stateful policy
+        never acts on a stale fleet view.  The built-in policies keep no
+        cross-request memos, so this is a no-op.
         """
         return None
 
@@ -185,60 +185,16 @@ class LeastECTBalancer(LoadBalancer):
     this very request — so a node whose only devices are slow for this
     batch size is priced accordingly, not just by queue length.
 
-    Before probing the nodes, every distinct predictor behind them is
-    primed for both dGPU states of this (model, batch) cell in one
-    batched flat-forest call (fleets built by ``make_fleet`` share one
-    trained predictor, so this is usually a single call fleet-wide); the
-    per-node probes then resolve their rankings from the predictor's
-    cell memo instead of running the forest once per node.
+    Each probe's ranking comes from the predictor's per-(model, state)
+    step table, so pricing a fleet costs one binary search per node
+    once the table exists (fleets built by ``make_fleet`` share one
+    trained predictor, hence one set of tables).
     """
 
     name = "least-ect"
     stateless_choice = True
 
-    #: Bound on the (model, batch) priming memo; cleared when exceeded.
-    _PRIMED_MAX = 16384
-
-    def __init__(self) -> None:
-        self._primed: "set[tuple[str, int]]" = set()
-
-    def invalidate(self) -> None:
-        """Forget which cells were primed (new node => new predictor set).
-
-        Priming is a pure performance hint — a skipped prime only means the
-        predictor evaluates cells one at a time — so staleness here can
-        never change a routing decision, only slow one down.
-        """
-        self._primed.clear()
-
-    def _prime(self, nodes, request, spec) -> None:
-        seen = set()
-        for node in nodes:
-            backlog = node.frontend.backlog
-            scheduler = getattr(backlog, "scheduler", None)
-            if scheduler is None:  # duck-typed backlog (tests, adapters)
-                continue
-            predictor = scheduler.predictors.get(backlog.policy)
-            if (
-                predictor is None
-                or not getattr(predictor, "_fitted", False)
-                or id(predictor) in seen
-            ):
-                continue
-            predictor.prime_cells(spec, request.batch, ("warm", "idle"))
-            seen.add(id(predictor))
-
     def _pick(self, nodes, request, spec, now):
-        # Walking every node's getattr chain per request dominates once the
-        # predictors' cell memos are warm, so remember which (model, batch)
-        # cells this fleet was already primed for.
-        memo_key = (spec.name, request.batch)
-        if memo_key not in self._primed:
-            self._prime(nodes, request, spec)
-            if len(self._primed) >= self._PRIMED_MAX:
-                self._primed.clear()
-            self._primed.add(memo_key)
-
         def ect(node: ClusterNode) -> tuple:
             _, delay = node.frontend.backlog.estimate_completion(
                 spec, request.batch, now

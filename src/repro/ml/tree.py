@@ -5,9 +5,10 @@ Standard greedy axis-aligned splitting with gini or entropy impurity
 ``min_samples_leaf`` controls, and ``max_features`` random feature
 subsampling (used by the random forest).
 
-The split search is fully vectorized per node: one argsort per candidate
-feature, class-count prefix sums, and an impurity evaluation across all
-thresholds at once — no Python loop over samples.
+The split search is fully vectorized per node: one argsort over all
+candidate features, class-count prefix sums, and an impurity evaluation
+across every (threshold, feature) pair at once — no Python loop over
+samples or features.
 """
 
 from __future__ import annotations
@@ -128,21 +129,12 @@ class DecisionTreeClassifier(BaseEstimator):
         split = self._best_split(x, y, rng)
         if split is None:
             return node
-        feature, threshold = split
+        feature, threshold, parent_imp, child_imp = split
         mask = x[:, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
         # Mean-decrease-in-impurity accounting for feature_importances_.
-        parent_imp = float(
-            _impurity(counts[None, :], self.criterion)[0]
-        )
-        left_counts = np.bincount(y[mask], minlength=self.n_classes_).astype(float)
-        right_counts = counts - left_counts
         n = float(y.size)
-        child_imp = (
-            left_counts.sum() * float(_impurity(left_counts[None, :], self.criterion)[0])
-            + right_counts.sum() * float(_impurity(right_counts[None, :], self.criterion)[0])
-        ) / n
         self._importance_raw[feature] += (n / self._n_fit_samples) * (
             parent_imp - child_imp
         )
@@ -150,7 +142,18 @@ class DecisionTreeClassifier(BaseEstimator):
         node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
         return node
 
-    def _best_split(self, x, y, rng) -> "tuple[int, float] | None":
+    def _best_split(
+        self, x, y, rng
+    ) -> "tuple[int, float, float, float] | None":
+        """Best (feature, threshold, parent impurity, weighted child
+        impurity), or None when no split is informative.
+
+        Every candidate feature is searched at once: one stable argsort
+        over the (n, k) candidate columns, (n, k, C) class-count prefix
+        sums and one impurity pass over both sides.  Features are then
+        compared in candidate order, and a later one wins only if it is
+        better by more than 1e-12.
+        """
         n = y.size
         k = self._n_candidate_features()
         if k < self.n_features_:
@@ -158,42 +161,40 @@ class DecisionTreeClassifier(BaseEstimator):
         else:
             features = np.arange(self.n_features_)
 
-        onehot = np.zeros((n, self.n_classes_))
-        onehot[np.arange(n), y] = 1.0
+        xf = x[:, features]
+        order = np.argsort(xf, axis=0, kind="stable")
+        xs = xf[order, np.arange(k)]
+        # Class counts left (side 0) and right (side 1) of a split after
+        # each sorted row, per feature: (2, n, k, C).  The last left
+        # prefix holds every row, so its impurity is the parent's.
+        counts = np.empty((2, n, k, self.n_classes_))
+        np.cumsum(np.eye(self.n_classes_)[y][order], axis=0, out=counts[0])
+        np.subtract(counts[0, -1], counts[0], out=counts[1])
+        imp = _impurity(counts, self.criterion)
+        # Candidate split after row i (left = [0..i]); valid iff both
+        # sides satisfy min_samples_leaf and the value changes.
+        sizes_left = np.arange(1, n + 1, dtype=np.float64)[:, None]
+        min_leaf = self.min_samples_leaf
+        valid = np.zeros((n, k), dtype=bool)
+        valid[:-1] = xs[:-1] < xs[1:]
+        valid &= (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
+        weighted = (sizes_left * imp[0] + (n - sizes_left) * imp[1]) / n
+        weighted = np.where(valid, weighted, np.inf)
+        rows = np.argmin(weighted, axis=0)
 
         best = None
         best_score = np.inf
-        min_leaf = self.min_samples_leaf
-        for f in features:
-            order = np.argsort(x[:, f], kind="stable")
-            xs = x[order, f]
-            # Prefix class counts after each potential left block.
-            left_counts = np.cumsum(onehot[order], axis=0)
-            total = left_counts[-1]
-            # Candidate split after position i (left = [0..i]); valid iff
-            # both sides satisfy min_samples_leaf and the value changes.
-            sizes_left = np.arange(1, n + 1, dtype=np.float64)
-            valid = (
-                (sizes_left >= min_leaf)
-                & (n - sizes_left >= min_leaf)
-                & np.append(xs[:-1] < xs[1:], False)
-            )
-            if not np.any(valid):
-                continue
-            right_counts = total[None, :] - left_counts
-            imp_left = _impurity(left_counts, self.criterion)
-            imp_right = _impurity(right_counts, self.criterion)
-            weighted = (sizes_left * imp_left + (n - sizes_left) * imp_right) / n
-            weighted = np.where(valid, weighted, np.inf)
-            i = int(np.argmin(weighted))
-            if weighted[i] < best_score - 1e-12:
-                best_score = weighted[i]
-                best = (int(f), float(0.5 * (xs[i] + xs[i + 1])))
+        for j, i in enumerate(rows):
+            if weighted[i, j] < best_score - 1e-12:
+                best_score = weighted[i, j]
+                best = (j, i)
 
-        parent_imp = float(_impurity(onehot.sum(axis=0)[None, :], self.criterion)[0])
+        parent_imp = float(imp[0, -1, 0])
         if best is None or best_score >= parent_imp - 1e-12:
             return None  # no informative split
-        return best
+        j, i = best
+        threshold = float(0.5 * (xs[i, j] + xs[i + 1, j]))
+        return int(features[j]), threshold, parent_imp, float(best_score)
 
     # -- inference ---------------------------------------------------------
 

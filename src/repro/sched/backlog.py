@@ -347,9 +347,8 @@ class BacklogAwareScheduler:
         predictor = self.scheduler.predictors[self.policy]
         classes = ("cpu", "dgpu", "igpu")
         available = self.available_classes()
-        # Memoized per-cell probabilities: repeated requests for the same
-        # (model, batch, state) cell — the common case in a flood — skip
-        # the forest entirely after the first evaluation.
+        # Step-table lookup: after the first query per (model, state) since
+        # the last fit, no query runs the forest.
         proba = predictor.cell_proba(spec, batch, gpu_state)
         if proba is not None:
             order = np.argsort(proba)[::-1]

@@ -237,8 +237,8 @@ class OnlinePredictor:
     """A :class:`DevicePredictor` that keeps learning while it serves.
 
     Duck-types the base predictor's whole decision surface (``cell_proba``,
-    ``predict_device``, ``predict_index``, ``prime_cells``,
-    ``predict_batch``, ``fit_generation``), so it drops into an
+    ``predict_device``, ``predict_index``, ``predict_batch``,
+    ``fit_generation``), so it drops into an
     :class:`~repro.sched.scheduler.OnlineScheduler`'s predictor table
     unchanged.  The additional surface — :meth:`observe`, :meth:`is_stale`,
     :meth:`snapshot` — is what the backlog scheduler and telemetry use.
@@ -316,9 +316,6 @@ class OnlinePredictor:
 
     def cell_proba(self, spec, batch, gpu_state):
         return self.base.cell_proba(spec, batch, gpu_state)
-
-    def prime_cells(self, spec, batch, gpu_states) -> None:
-        self.base.prime_cells(spec, batch, gpu_states)
 
     def predict_index(self, spec, batch, gpu_state) -> int:
         return self.base.predict_index(spec, batch, gpu_state)

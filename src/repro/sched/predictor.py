@@ -9,6 +9,8 @@ the Table I-winning hyperparameters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import SchedulerError
@@ -16,10 +18,12 @@ from repro.ml.base import BaseEstimator, clone
 from repro.ml.forest import RandomForestClassifier
 from repro.nn.builders import ModelSpec
 from repro.sched.dataset import DEVICE_CLASSES, SchedulerDataset
-from repro.sched.features import encode_point
+from repro.sched.features import FEATURE_NAMES, encode_point
 from repro.sched.policies import Policy
 
 __all__ = ["DevicePredictor", "default_estimator"]
+
+_BATCH = FEATURE_NAMES.index("batch")
 
 
 def default_estimator(random_state: int = 7) -> BaseEstimator:
@@ -36,15 +40,12 @@ def default_estimator(random_state: int = 7) -> BaseEstimator:
 class DevicePredictor:
     """A trained device-selection model for one policy."""
 
-    #: Per-cell memo bound: (model, batch, gpu_state) cells seen per fit.
-    #: Coalescers produce many distinct batch sizes, so cap and evict FIFO.
-    _CELL_CACHE_MAX = 16384
-
     def __init__(self, policy: "Policy | str", estimator: BaseEstimator | None = None):
         self.policy = Policy.parse(policy)
         self.estimator = estimator if estimator is not None else default_estimator()
         self._fitted = False
-        self._cell_proba: dict[tuple, "np.ndarray | None"] = {}
+        # (model, gpu_state) -> (batch cuts, per-interval probabilities).
+        self._tables: "dict[tuple[str, str], tuple[list, list]]" = {}
         #: Bumped on every (re)fit; decision caches key their validity on it.
         self.fit_generation = 0
 
@@ -58,63 +59,52 @@ class DevicePredictor:
         self.estimator = clone(self.estimator)
         self.estimator.fit(dataset.x, dataset.y)
         self._fitted = True
-        self._cell_proba.clear()
+        self._tables.clear()
         self.fit_generation += 1
         return self
-
-    # -- memoized per-cell probabilities -----------------------------------
-
-    def _remember(self, key: tuple, proba: "np.ndarray | None") -> None:
-        if len(self._cell_proba) >= self._CELL_CACHE_MAX:
-            self._cell_proba.pop(next(iter(self._cell_proba)))
-        self._cell_proba[key] = proba
 
     def cell_proba(
         self, spec: ModelSpec, batch: int, gpu_state: str
     ) -> "np.ndarray | None":
         """Class probabilities for one (model, batch, dGPU-state) cell.
 
-        A fitted estimator is deterministic, so the answer for a cell
-        never changes between fits: the first call runs the batched flat
-        path, every later one is a dict hit.  Returns None when the
+        For a fixed (model, dGPU state) every feature but ``batch`` is
+        constant, so a tree model's output is a step function of batch
+        that only changes at the model's own ``batch`` thresholds.  The
+        first query per (model, state) after a fit evaluates one row per
+        interval between those cuts in a single batched call; every later
+        query is a binary search over the cuts.  Trees send a sample left
+        iff ``x <= threshold``, so interval ``i`` is ``(cuts[i-1],
+        cuts[i]]`` and ``cuts[i]`` itself represents it: the answer is
+        bit-identical to evaluating the cell's own row.  Estimators without
+        ``flatten()`` evaluate that row directly.  Returns None when the
         estimator exposes no ``predict_proba``.
         """
         self._require_fitted()
-        key = (spec.name, int(batch), gpu_state)
-        try:
-            return self._cell_proba[key]
-        except KeyError:
-            pass
         if not hasattr(self.estimator, "predict_proba"):
-            self._remember(key, None)
             return None
-        features = encode_point(spec, batch, gpu_state)[None, :]
-        proba = self.estimator.predict_proba(features)[0]
-        self._remember(key, proba)
-        return proba
+        if not hasattr(self.estimator, "flatten"):
+            features = encode_point(spec, batch, gpu_state)[None, :]
+            return self.estimator.predict_proba(features)[0]
+        if batch <= 0:
+            raise ValueError(f"batch must be positive, got {batch}")
+        key = (spec.name, gpu_state)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._step_table(spec, gpu_state)
+        cuts, probas = table
+        return probas[bisect_left(cuts, float(batch))]
 
-    def prime_cells(
-        self, spec: ModelSpec, batch: int, gpu_states: "tuple[str, ...]"
-    ) -> None:
-        """Evaluate any missing cells for ``gpu_states`` in ONE batched call.
-
-        A fleet balancer about to price several nodes can prime both dGPU
-        states up front: the estimator sees a single (n_missing, d) matrix
-        instead of one row per node probe.
-        """
-        self._require_fitted()
-        if not hasattr(self.estimator, "predict_proba"):
-            return
-        missing = [
-            s for s in gpu_states
-            if (spec.name, int(batch), s) not in self._cell_proba
-        ]
-        if not missing:
-            return
-        rows = np.vstack([encode_point(spec, batch, s) for s in missing])
-        probas = self.estimator.predict_proba(rows)
-        for s, proba in zip(missing, probas):
-            self._remember((spec.name, int(batch), s), proba)
+    def _step_table(self, spec: ModelSpec, gpu_state: str):
+        """Sorted unique ``batch`` cuts (a list, for ``bisect``) and one
+        probability row per interval, the last one past the top cut."""
+        flat = self.estimator.flatten()
+        cuts = np.unique(flat.threshold[flat.feature == _BATCH])
+        last = np.nextafter(cuts[-1], np.inf) if cuts.size else 1.0
+        rows = np.repeat(encode_point(spec, 1, gpu_state)[None, :],
+                         cuts.size + 1, axis=0)
+        rows[:, _BATCH] = np.append(cuts, last)
+        return cuts.tolist(), list(self.estimator.predict_proba(rows))
 
     def predict_index(self, spec: ModelSpec, batch: int, gpu_state: str) -> int:
         """Class index (0=CPU, 1=dGPU, 2=iGPU) for one decision."""
