@@ -18,7 +18,7 @@ request?*  They differ in what they look at —
 
 Every policy reads nodes only through :meth:`ClusterNode.stats` (the
 cheap :class:`~repro.serving.frontend.NodeStats` snapshot) or the public
-``estimate_completion`` — never private frontend state — and only ever
+``estimate_cells`` pricing — never private frontend state — and only ever
 returns an *active* node: draining and standby nodes are filtered before
 any sampling, so a drain can never receive new traffic.
 
@@ -64,28 +64,24 @@ __all__ = [
 
 
 class LoadBalancer:
-    """Base policy: subclasses implement :meth:`_pick` over active nodes."""
+    """Base policy over active nodes.
+
+    Stateful policies implement :meth:`_pick` (one request); stateless
+    ones implement :meth:`_pick_run` (one same-instant run of cells), and
+    their :meth:`_pick` is its one-cell case.
+    """
 
     name = "abstract"
 
     #: Whether :meth:`choose` is a pure function of fleet state at one
-    #: instant — no internal state advanced, no randomness drawn.  The
-    #: router's vectorized arrival path may then reuse one decision for
-    #: every simultaneous arrival of the same (model, batch) cell, which
-    #: is exactly what the per-request path would have computed (nothing
-    #: a pure policy reads changes between same-instant routing calls).
-    #: Policies that mutate per call (round-robin's turn counter,
-    #: power-of-two's RNG) must leave this False.
+    #: instant — no internal state advanced, no randomness drawn.  Such a
+    #: policy also implements :meth:`choose_run`, which the router's
+    #: vectorized arrival path calls once per run of simultaneous
+    #: arrivals: nothing a pure policy reads changes between same-instant
+    #: routing calls, so one pick per (model, batch) cell is exactly what
+    #: the per-request path computes.  Policies that mutate per call
+    #: (round-robin's turn counter, power-of-two's RNG) leave this False.
     stateless_choice = False
-
-    def invalidate(self) -> None:
-        """Fleet membership or predictor state changed: drop any memos.
-
-        The router calls this on every activate/drain so a stateful policy
-        never acts on a stale fleet view.  The built-in policies keep no
-        cross-request memos, so this is a no-op.
-        """
-        return None
 
     def choose(
         self,
@@ -107,6 +103,30 @@ class LoadBalancer:
             return eligible[0]
         return self._pick(eligible, request, spec, now)
 
+    def choose_run(
+        self,
+        nodes: "list[ClusterNode]",
+        cells: "list[tuple[ModelSpec, int]]",
+        now: float,
+    ) -> "list[tuple[ClusterNode, float | None]]":
+        """One ``(node, delay)`` per ``(spec, batch)`` cell arriving at ``now``.
+
+        Only for ``stateless_choice`` policies.  Each node is the one
+        :meth:`choose` returns for a request of that cell at ``now``;
+        ``delay`` is the winner's estimated completion delay when the
+        policy priced it (least-ECT), else None.
+        """
+        if not self.stateless_choice:
+            raise SchedulerError(
+                f"{self.name} balancer keeps per-call state; route per request"
+            )
+        eligible = [n for n in nodes if n.routable]
+        if not eligible:
+            raise SchedulerError("no active node to route to")
+        if len(eligible) == 1:
+            return [(eligible[0], None)] * len(cells)
+        return self._pick_run(eligible, cells, now)
+
     def _pick(
         self,
         nodes: "list[ClusterNode]",
@@ -114,6 +134,9 @@ class LoadBalancer:
         spec: ModelSpec,
         now: float,
     ) -> ClusterNode:
+        return self._pick_run(nodes, ((spec, request.batch),), now)[0][0]
+
+    def _pick_run(self, nodes, cells, now):
         raise NotImplementedError
 
 
@@ -137,8 +160,9 @@ class LeastOutstandingBalancer(LoadBalancer):
     name = "least-outstanding"
     stateless_choice = True
 
-    def _pick(self, nodes, request, spec, now):
-        return min(nodes, key=lambda n: (n.stats().outstanding, n.name))
+    def _pick_run(self, nodes, cells, now):
+        best = min(nodes, key=lambda n: (n.stats().outstanding, n.name))
+        return [(best, None)] * len(cells)
 
 
 class JoinShortestQueueBalancer(LoadBalancer):
@@ -152,8 +176,8 @@ class JoinShortestQueueBalancer(LoadBalancer):
         stats = node.stats()
         return (stats.outstanding_samples, stats.outstanding, node.name)
 
-    def _pick(self, nodes, request, spec, now):
-        return min(nodes, key=self._load)
+    def _pick_run(self, nodes, cells, now):
+        return [(min(nodes, key=self._load), None)] * len(cells)
 
 
 class PowerOfTwoBalancer(LoadBalancer):
@@ -180,33 +204,38 @@ class PowerOfTwoBalancer(LoadBalancer):
 class LeastECTBalancer(LoadBalancer):
     """Join the node whose scheduler estimates the earliest completion.
 
-    Reuses each node's ``BacklogAwareScheduler.estimate_completion`` —
-    device backlog plus the *learned* per-(cell, device) service time for
-    this very request — so a node whose only devices are slow for this
-    batch size is priced accordingly, not just by queue length.
+    Reuses each node's ``BacklogAwareScheduler`` pricing — device backlog
+    plus the *learned* per-(cell, device) service time for this very
+    request — so a node whose only devices are slow for this batch size
+    is priced accordingly, not just by queue length.  Ties break by
+    unresolved samples, then node name.
 
-    Each probe's ranking comes from the predictor's per-(model, state)
-    step table, so pricing a fleet costs one binary search per node
-    once the table exists (fleets built by ``make_fleet`` share one
-    trained predictor, hence one set of tables).
+    Pricing is per run, not per request: :meth:`choose_run` asks each
+    node once for all of a run's distinct (model, batch) cells
+    (``estimate_cells``: one dGPU probe, one cache lookup per cell) and
+    reads its outstanding samples once, then keeps the per-cell argmin.
+    A single request is the one-cell case.
     """
 
     name = "least-ect"
     stateless_choice = True
 
-    def _pick(self, nodes, request, spec, now):
-        def ect(node: ClusterNode) -> tuple:
-            _, delay = node.frontend.backlog.estimate_completion(
-                spec, request.batch, now
-            )
+    def _pick_run(self, nodes, cells, now):
+        best: "list[tuple | None]" = [None] * len(cells)
+        for node in nodes:
             # Tiebreak on unresolved samples: the O(1) counter when the
             # node exposes it, else the stats() snapshot (same value).
             samples = getattr(node, "outstanding_samples", None)
             if samples is None:
                 samples = node.stats().outstanding_samples
-            return (delay, samples, node.name)
-
-        return min(nodes, key=ect)
+            name = node.name
+            priced = node.frontend.backlog.estimate_cells(cells, now)
+            for c, (_, delay) in enumerate(priced):
+                key = (delay, samples, name)
+                held = best[c]
+                if held is None or key < held[0]:
+                    best[c] = (key, node)
+        return [(node, key[0]) for key, node in best]
 
 
 BALANCERS = {

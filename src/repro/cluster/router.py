@@ -424,7 +424,8 @@ class ClusterRouter:
         response = ClusterResponse(request)
         self._by_id[request.request_id] = response
         self._responses.append(response)
-        self._seq = max(self._seq, request.request_id + 1)
+        if request.request_id >= self._seq:
+            self._seq = request.request_id + 1
         return response
 
     def _route(
@@ -447,7 +448,6 @@ class ClusterRouter:
         """Bring a standby node into the serving set."""
         node = self.node(name)
         node.activate()
-        self.balancer.invalidate()
         self._log("scale_up", node.name)
         return node
 
@@ -460,7 +460,6 @@ class ClusterRouter:
         """
         node = self.node(name)
         entries = node.start_drain()
-        self.balancer.invalidate()
         self._log("drain_start", node.name, f"{len(entries)} re-routed")
         for entry in entries:
             self._reroute(entry)
@@ -644,8 +643,6 @@ class ClusterRouter:
             if node.state is NodeState.DOWN:
                 restored = node.revive()
                 self.telemetry.mark_node_up(node.name, now)
-                if restored is NodeState.ACTIVE:
-                    self.balancer.invalidate()
                 self._log("node_up", node.name, f"restored {restored.value}")
 
     def _handle_crash(self, node: ClusterNode) -> None:
@@ -656,7 +653,6 @@ class ClusterRouter:
         if node.state is not NodeState.DOWN:
             self.telemetry.mark_node_down(node.name, now)
         node.mark_down()
-        self.balancer.invalidate()
         lost = node.frontend.collect_lost()
         self._log("node_down", node.name, f"{len(lost)} orphaned")
         # Orphans are redelivered immediately — their time already burned
@@ -808,52 +804,79 @@ class ClusterRouter:
         Phase 1 (this event) makes every routing decision for the run.
         Until the deliveries land, nothing a pure balancer reads can
         change — queues and in-flight counters only move at delivery or
-        dispatch — so one ``choose`` per (model, batch) cell reproduces
-        the per-request decisions exactly.  Phase 2 is a single event at
-        the same timestamp delivering the entries in submission order;
-        its sequence number is allocated here, after the run's timeout
-        arms, exactly where the per-event path allocates its arrival
-        events — so timers and injector events landing on this instant
-        interleave identically on both paths.
+        dispatch — so a ``stateless_choice`` policy prices the run's
+        distinct (model, batch) cells, in first-arrival order, with one
+        :meth:`~repro.cluster.balancers.LoadBalancer.choose_run` call and
+        reproduces the per-request decisions exactly; stateful policies
+        still ``choose`` per request.  Phase 2 is a single event at the
+        same timestamp delivering the entries in submission order; its
+        sequence number is allocated here, after the run's timeout arms,
+        exactly where the per-event path allocates its arrival events —
+        so timers and injector events landing on this instant interleave
+        identically on both paths.
+
+        When that delivery is the very next event, nothing can move an
+        estimate before it fires, so the winning delays least-ECT priced
+        are handed to the chosen frontends as their admission estimates
+        (see :meth:`_deliver_run`).
         """
         now = self.loop.now
         active = self.routable_nodes()
+        if not active:
+            for k in range(i, j):
+                responses[k].mark_shed("no_active_node")
+                self._log(
+                    "route_failed", "-", f"request {responses[k].request.request_id}"
+                )
+            return
         balancer = self.balancer
-        memo: "dict[tuple[str, int], ClusterNode] | None" = (
-            {} if balancer.stateless_choice else None
+        specs = self.specs
+        picks = None
+        priced: "dict[ServingFrontend, dict[tuple[str, int], float]]" = {}
+        if balancer.stateless_choice:
+            slot_of: "dict[tuple[str, int], int]" = {}
+            slots = []
+            for k in range(i, j):
+                request = responses[k].request
+                key = (request.model, request.batch)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(slot_of)
+                slots.append(slot)
+            cells = [(specs[model], batch) for model, batch in slot_of]
+            picks = balancer.choose_run(active, cells, now)
+            for key, (node, delay) in zip(slot_of, picks):
+                if delay is not None:
+                    priced.setdefault(node.frontend, {})[key] = delay
+        arm_timeout = (
+            self.resilience is not None and self.resilience.timeout_s is not None
         )
         deliveries: "list[tuple[ServingFrontend, QueueEntry]]" = []
         for k in range(i, j):
             response = responses[k]
-            if not active:
-                response.mark_shed("no_active_node")
-                self._log(
-                    "route_failed", "-", f"request {response.request.request_id}"
-                )
-                continue
             request = response.request
-            spec = self.specs[request.model]
-            if memo is None:
-                node = balancer.choose(active, request, spec, now)
+            if picks is None:
+                node = balancer.choose(active, request, specs[request.model], now)
             else:
-                key = (request.model, request.batch)
-                node = memo.get(key)
-                if node is None:
-                    node = balancer.choose(active, request, spec, now)
-                    memo[key] = node
+                node = picks[slots[k - i]][0]
             frontend = node.frontend
             inner, entry = frontend.register_request(request)
             response.bind(node.name, inner)
-            self._arm_timeout(response)
+            if arm_timeout:
+                self._arm_timeout(response)
             deliveries.append((frontend, entry))
-        if deliveries:
-            self.loop.schedule(
-                now, partial(self._deliver_run, deliveries), label="arrive"
-            )
+        # With nothing else due at this instant the delivery is the next
+        # event (anything scheduled from here on lands behind it), so no
+        # flush, completion, fault or refit can move a priced estimate.
+        handoff = priced if priced and not self.loop.has_due(now) else None
+        self.loop.schedule(
+            now, partial(self._deliver_run, deliveries, handoff), label="arrive"
+        )
 
     def _deliver_run(
         self,
         deliveries: "list[tuple[ServingFrontend, QueueEntry]]",
+        priced: "dict[ServingFrontend, dict[tuple[str, int], float]] | None",
         _loop=None,
     ) -> None:
         """Deliver one run's routed entries, sharing estimate memos.
@@ -861,11 +884,13 @@ class ClusterRouter:
         Every distinct frontend in the run gets its completion-estimate
         memo armed for the duration (cleared by the frontends themselves
         whenever a dispatch moves a command queue), so simultaneous
-        arrivals of one (model, batch) cell cost one admission probe.
+        arrivals of one (model, batch) cell cost one admission probe —
+        or none, when ``priced`` seeds the memo with the delays the
+        balancer computed for this frontend at this instant.
         """
         armed = []
-        for frontend, _entry in deliveries:
-            if frontend.begin_arrival_batch():
+        for frontend in dict.fromkeys(frontend for frontend, _ in deliveries):
+            if frontend.begin_arrival_batch(priced.get(frontend) if priced else None):
                 armed.append(frontend)
         try:
             for frontend, entry in deliveries:

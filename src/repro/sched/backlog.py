@@ -12,15 +12,15 @@ dispatches — the same outcome-table machinery as the adaptive layer — so
 no oracle previews are consulted.
 
 The request path through :meth:`BacklogAwareScheduler.decide` /
-:meth:`~BacklogAwareScheduler.estimate_completion` is serving-hot (a
-cluster balancer probes it once per node per arrival), so decisions are
-served through a cache (see :class:`_DecisionEntry`): the predictor's
-ranking and the eligible (device, queue, estimate) bindings are resolved
-once per (model, batch, dGPU-state) cell, while backlog waits and learned
-service values are always read live — cached decisions are bit-identical
-to uncached ones by construction.  Invalidation is explicit: a predictor
-refit (or swap) clears the cache wholesale, and every feedback update
-(:meth:`~BacklogAwareScheduler.record_service` /
+:meth:`~BacklogAwareScheduler.estimate_cells` is serving-hot (a cluster
+balancer prices every distinct cell of an arrival run on every node), so
+decisions are served through a cache (see :class:`_DecisionEntry`): the
+predictor's ranking and the eligible (device, queue, estimate) bindings
+are resolved once per (model, batch, dGPU-state) cell, while backlog waits
+and learned service values are always read live — cached decisions are
+bit-identical to uncached ones by construction.  Invalidation is explicit:
+a predictor refit (or swap) clears the cache wholesale, and every feedback
+update (:meth:`~BacklogAwareScheduler.record_service` /
 :meth:`~BacklogAwareScheduler.submit_virtual`) bumps the touched cell's
 version so entries holding its estimate binding rebuild on next use.
 """
@@ -65,16 +65,17 @@ class _DecisionEntry:
     the cell's feedback version at build time: any ``record_service`` /
     ``submit_virtual`` observation for the cell bumps that version and the
     entry rebuilds, so a replaced/aged estimate object can never be read
-    stale.
+    stale.  The entry holds the cell's shared version counter itself, so
+    the check ``version == counter[0]`` hashes nothing.
     """
 
-    __slots__ = ("ranked", "cell", "eligible", "version", "fallback")
+    __slots__ = ("ranked", "counter", "eligible", "version", "fallback")
 
-    def __init__(self, ranked, cell, eligible, version, fallback=False):
+    def __init__(self, ranked, counter, eligible, fallback=False):
         self.ranked = ranked        # full predictor ranking (for spill checks)
-        self.cell = cell            # CellKey of this decision cell
+        self.counter = counter      # the cell's [feedback version] counter
         self.eligible = eligible    # ((class, device_name, queue, estimate), ...)
-        self.version = version      # feedback version seen at build time
+        self.version = counter[0]   # feedback version seen at build time
         self.fallback = fallback    # built in drift fallback mode (see online)
 
 
@@ -121,7 +122,9 @@ class BacklogAwareScheduler:
         # Decision cache (see module docstring for the invalidation rules).
         self.cache_decisions = bool(cache_decisions)
         self._entries: "dict[tuple, _DecisionEntry]" = {}
-        self._feedback_versions: "dict[CellKey, int]" = {}
+        # cell -> [version]: one mutable counter per cell, shared with the
+        # entries built for it.
+        self._feedback_versions: "dict[CellKey, list[int]]" = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._refit_clears = 0
@@ -493,7 +496,7 @@ class BacklogAwareScheduler:
         for the flipped (model, batch-bucket), across both dGPU states
         and all concrete batch sizes in the bucket, is dropped.  Refits
         need nothing here: the bumped ``fit_generation`` already clears
-        the cache wholesale in ``_entry_for``.
+        the cache wholesale in ``_sync_predictor``.
         """
         for key in (*events.flagged, *events.recovered):
             stale = [
@@ -509,7 +512,7 @@ class BacklogAwareScheduler:
 
     def _bump_cell(self, cell: CellKey) -> None:
         """A feedback observation touched ``cell``: age out its entries."""
-        self._feedback_versions[cell] = self._feedback_versions.get(cell, 0) + 1
+        self._feedback_versions.setdefault(cell, [0])[0] += 1
         self._feedback_invalidations += 1
 
     def invalidate(self) -> None:
@@ -607,22 +610,32 @@ class BacklogAwareScheduler:
                         out.append((device_class, device))
         return out
 
-    def _entry_for(self, spec: ModelSpec, batch: int, gpu_state: str) -> _DecisionEntry:
-        """Cached bindings for a decision cell, (re)built when invalid."""
+    def _sync_predictor(self) -> None:
+        """Clear the cache if the predictor was refit (or swapped) since
+        the last lookup: a refit may reorder every ranking."""
         predictor = self.scheduler.predictors[self.policy]
         generation = getattr(predictor, "fit_generation", None)
         if predictor is not self._seen_predictor or generation != self._seen_generation:
-            # A refit (or a predictor swap) may reorder every ranking.
             if self._entries:
                 self._entries.clear()
                 self._refit_clears += 1
             self._seen_predictor = predictor
             self._seen_generation = generation
-        key = (spec.name, batch, gpu_state)
-        entry = self._entries.get(key)
-        if entry is not None and entry.version == self._feedback_versions.get(entry.cell, 0):
+
+    def _entry_for(self, spec: ModelSpec, batch: int, gpu_state: str) -> _DecisionEntry:
+        """Cached bindings for a decision cell, (re)built when invalid.
+
+        The caller runs :meth:`_sync_predictor` first (once per instant is
+        enough: only a feedback event can refit the predictor).
+        """
+        entry = self._entries.get((spec.name, batch, gpu_state))
+        if entry is not None and entry.version == entry.counter[0]:
             self._cache_hits += 1
             return entry
+        return self._build_entry(spec, batch, gpu_state)
+
+    def _build_entry(self, spec: ModelSpec, batch: int, gpu_state: str) -> _DecisionEntry:
+        """Cache miss: resolve and store a decision cell's bindings."""
         self._cache_misses += 1
         ranked, limit, fallback = self._routing_plan(spec, batch, gpu_state)
         cell = CellKey.of(spec.name, batch, gpu_state)
@@ -633,10 +646,10 @@ class BacklogAwareScheduler:
                 (device_class, device.name, queue, self._service.binding(cell, device_class))
             )
         entry = _DecisionEntry(
-            ranked, cell, tuple(eligible),
-            self._feedback_versions.get(cell, 0), fallback,
+            ranked, self._feedback_versions.setdefault(cell, [0]),
+            tuple(eligible), fallback,
         )
-        self._entries[key] = entry
+        self._entries[(spec.name, batch, gpu_state)] = entry
         return entry
 
     def _finisher_from(
@@ -702,19 +715,49 @@ class BacklogAwareScheduler:
 
         The delay is backlog wait plus the learned service estimate on the
         earliest-finishing eligible device — the quantity an admission
-        controller compares against a request's deadline budget.
+        controller compares against a request's deadline budget.  The
+        one-cell case of :meth:`estimate_cells`.
         """
-        gpu_state = self.scheduler.probe_gpu_state(now=arrival_s)
+        return self.estimate_cells(((spec, batch),), arrival_s)[0]
+
+    def estimate_cells(
+        self, cells, now: float
+    ) -> "list[tuple[str, float]]":
+        """:meth:`estimate_completion` for each ``(spec, batch)`` cell at ``now``.
+
+        Everything cell-independent is read once: one dGPU probe and one
+        predictor-generation check, then one cache lookup per cell — the
+        price of a whole same-instant arrival run on this node.  Each
+        cell's (device, delay) is bit-identical to a separate
+        :meth:`estimate_completion` call at ``now``.
+        """
+        gpu_state = self.scheduler.probe_gpu_state(now=now)
+        out = []
         if self.cache_decisions:
-            entry = self._entry_for(spec, batch, gpu_state)
-            best_device, best_completion, _, _ = self._finisher_from(entry, arrival_s)
-            return best_device, best_completion
-        ranked, limit, _ = self._routing_plan(spec, batch, gpu_state)
-        cell = CellKey.of(spec.name, batch, gpu_state)
-        best_device, best_completion, _, _ = self._earliest_finisher(
-            spec.name, cell, ranked, limit, arrival_s
-        )
-        return best_device, best_completion
+            self._sync_predictor()
+            # _entry_for's hit path, inlined: this loop runs per node per
+            # cell of every arrival run.
+            entries = self._entries
+            finisher = self._finisher_from
+            hits = 0
+            for spec, batch in cells:
+                entry = entries.get((spec.name, batch, gpu_state))
+                if entry is not None and entry.version == entry.counter[0]:
+                    hits += 1
+                else:
+                    entry = self._build_entry(spec, batch, gpu_state)
+                best_device, best_completion, _, _ = finisher(entry, now)
+                out.append((best_device, best_completion))
+            self._cache_hits += hits
+            return out
+        for spec, batch in cells:
+            ranked, limit, _ = self._routing_plan(spec, batch, gpu_state)
+            cell = CellKey.of(spec.name, batch, gpu_state)
+            best_device, best_completion, _, _ = self._earliest_finisher(
+                spec.name, cell, ranked, limit, now
+            )
+            out.append((best_device, best_completion))
+        return out
 
     # -- placement ---------------------------------------------------------
 
@@ -723,6 +766,7 @@ class BacklogAwareScheduler:
         gpu_state = self.scheduler.probe_gpu_state(now=arrival_s)
         self._n_decisions += 1
         if self.cache_decisions:
+            self._sync_predictor()
             entry = self._entry_for(spec, batch, gpu_state)
             best_device, _, device_name, queue = self._finisher_from(entry, arrival_s)
             ranked = entry.ranked

@@ -22,7 +22,7 @@ Three mechanisms ride on that stream:
   two or more devices are re-labelled with the observed-fastest device
   and the base forest is refit on the offline dataset plus those live
   rows.  The refit bumps ``fit_generation``, so the decision cache's
-  existing wholesale invalidation in ``_entry_for`` fires unchanged.
+  existing wholesale invalidation in ``_sync_predictor`` fires unchanged.
 * **Drift detection** — per (model, device class, log2-batch bucket)
   cell, a two-sided Page–Hinkley test watches the relative residual
   between the learned service estimate (what the scheduler *predicted*)

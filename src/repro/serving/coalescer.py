@@ -17,7 +17,7 @@ trivially testable under property-based random traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.serving.queues import QueueEntry, RequestQueue
 
@@ -36,20 +36,20 @@ class CoalescedBatch:
     entries: tuple[QueueEntry, ...]
     formed_s: float
     trigger: str               # 'full' | 'timeout' | 'flush'
+    #: Samples across all merged requests — the launch batch size.
+    total_samples: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("a coalesced batch needs at least one request")
         if any(e.request.model != self.model for e in self.entries):
             raise ValueError("coalesced batch mixes models")
+        object.__setattr__(
+            self, "total_samples", sum(e.batch for e in self.entries)
+        )
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def total_samples(self) -> int:
-        """Samples across all merged requests — the launch batch size."""
-        return sum(e.batch for e in self.entries)
 
     @property
     def earliest_deadline_s(self) -> "float | None":
@@ -88,11 +88,12 @@ class BatchCoalescer:
         'full' dominates: when both conditions hold the batch is dispatched
         as a full batch (the timeout is moot once max_batch is reached).
         """
-        if not len(self.queue):
+        queue = self.queue
+        if not len(queue):
             return None
-        if self.pending_samples >= self.max_batch:
+        if queue.total_samples >= self.max_batch:
             return "full"
-        oldest = self.queue.oldest_enqueued_s()
+        oldest = queue.oldest_enqueued_s()
         if now - oldest >= self.max_wait_s - _EPS:
             return "timeout"
         return None
@@ -112,17 +113,21 @@ class BatchCoalescer:
         starving.  Entries that would overflow stay queued (their original
         enqueue times keep anchoring the next timeout).
         """
-        if not len(self.queue):
+        queue = self.queue
+        left = len(queue)
+        if not left:
             raise ValueError(f"nothing queued for {self.model!r}")
+        max_batch = self.max_batch
         entries: list[QueueEntry] = []
         samples = 0
-        while len(self.queue):
-            nxt = self.queue.peek()
-            if entries and samples + nxt.batch > self.max_batch:
+        while left:
+            nxt = queue.peek()
+            if entries and samples + nxt.batch > max_batch:
                 break
-            entries.append(self.queue.pop())
-            samples += entries[-1].batch
-            if samples >= self.max_batch:
+            entries.append(queue.pop())
+            left -= 1
+            samples += nxt.batch
+            if samples >= max_batch:
                 break
         return CoalescedBatch(
             model=self.model,

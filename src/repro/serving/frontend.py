@@ -496,14 +496,20 @@ class ServingFrontend:
         """
         self._on_arrival(entry)
 
-    def begin_arrival_batch(self) -> bool:
+    def begin_arrival_batch(
+        self, priced: "dict[tuple[str, int], float] | None" = None
+    ) -> bool:
         """Arm the completion-estimate memo for a batched delivery run.
 
+        ``priced`` optionally seeds it with (model, batch) -> delay pairs
+        the caller already computed through this frontend's backlog at
+        the current instant, with nothing scheduled in between — the
+        router's least-ECT handoff — so admission does not re-probe them.
         Returns True when this call armed it (the caller must then call
         :meth:`end_arrival_batch`), False when a run is already active.
         """
         if self._est_memo is None:
-            self._est_memo = {}
+            self._est_memo = dict(priced) if priced else {}
             return True
         return False
 
@@ -631,26 +637,24 @@ class ServingFrontend:
             self._lost[entry.seq] = entry
             return
         now = self.loop.now
-        model = entry.request.model
-        spec = self.specs[model]
+        request = entry.request
+        model = request.model
         queue = self._queues[model]
-        response = self._pending[entry.seq]
 
         memo = self._est_memo
-        if memo is None:
-            _, est_delay = self.backlog.estimate_completion(spec, entry.batch, now)
-        else:
-            key = (model, entry.batch)
-            est_delay = memo.get(key)
-            if est_delay is None:
-                _, est_delay = self.backlog.estimate_completion(spec, entry.batch, now)
-                memo[key] = est_delay
+        est_delay = None if memo is None else memo.get((model, request.batch))
+        if est_delay is None:
+            _, est_delay = self.backlog.estimate_completion(
+                self.specs[model], request.batch, now
+            )
+            if memo is not None:
+                memo[(model, request.batch)] = est_delay
         decision = self._admission[model].admit(
-            entry.request, queue, now, est_delay_s=est_delay
+            request, queue, now, est_delay_s=est_delay
         )
 
         if decision.action == "shed":
-            del self._pending[entry.seq]
+            response = self._pending.pop(entry.seq)
             response.status = "shed"
             response.shed_reason = decision.reason
             self.telemetry.n_shed += 1

@@ -50,7 +50,12 @@ class QueueEntry:
 
 
 class RequestQueue:
-    """Bounded per-model queue; subclasses fix the pop discipline."""
+    """Bounded per-model queue; subclasses fix the pop discipline.
+
+    Besides the pop order, a discipline answers :meth:`oldest_enqueued_s`
+    — the coalescer reads it on every arrival and timer arm, so it must
+    not walk the queue.
+    """
 
     discipline = "abstract"
 
@@ -59,13 +64,10 @@ class RequestQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.model = model
         self.capacity = capacity
-        # O(1) load accounting: the frontend reads total_samples and
-        # oldest_enqueued_s once per routing probe / timer arm, so neither
-        # may walk the queue.  The arrival heap is lazy: pops mark their
-        # (enqueued_s, seq) key removed and the heap top is cleaned on read.
+        # O(1) load accounting: length and samples are read on every
+        # arrival and routing probe, so neither may walk the queue.
         self._total_samples = 0
-        self._arrival_heap: "list[tuple[float, int]]" = []
-        self._arrival_removed: "dict[tuple[float, int], int]" = {}
+        self._n = 0
 
     # -- discipline hooks (subclass responsibility) ------------------------
 
@@ -81,18 +83,26 @@ class RequestQueue:
     def _remove(self, request_id: str) -> "QueueEntry | None":
         raise NotImplementedError
 
-    def __len__(self) -> int:
+    def __iter__(self):
         raise NotImplementedError
 
-    def __iter__(self):
+    def oldest_enqueued_s(self) -> "float | None":
+        """Earliest enqueue time among waiting entries (None if empty).
+
+        This anchors the coalescer's max-wait timer: even under EDF pop
+        order, no request may wait longer than max_wait.
+        """
         raise NotImplementedError
 
     # -- shared API --------------------------------------------------------
 
+    def __len__(self) -> int:
+        return self._n
+
     @property
     def full(self) -> bool:
         """Whether another push would exceed capacity."""
-        return self.capacity is not None and len(self) >= self.capacity
+        return self.capacity is not None and self._n >= self.capacity
 
     def push(self, entry: QueueEntry) -> None:
         """Enqueue; raises :class:`SchedulerError` when at capacity.
@@ -105,23 +115,21 @@ class RequestQueue:
                 f"queue for {self.model!r} is at capacity ({self.capacity})"
             )
         self._append(entry)
+        self._n += 1
         self._total_samples += entry.batch
-        heapq.heappush(self._arrival_heap, (entry.enqueued_s, entry.seq))
 
     def pop(self) -> QueueEntry:
         """Dequeue the next entry under this queue's discipline."""
-        if not len(self):
+        if not self._n:
             raise SchedulerError(f"queue for {self.model!r} is empty")
         entry = self._popleft()
+        self._n -= 1
         self._total_samples -= entry.batch
-        key = (entry.enqueued_s, entry.seq)
-        removed = self._arrival_removed
-        removed[key] = removed.get(key, 0) + 1
         return entry
 
     def peek(self) -> QueueEntry:
         """The entry :meth:`pop` would return, without removing it."""
-        if not len(self):
+        if not self._n:
             raise SchedulerError(f"queue for {self.model!r} is empty")
         return self._peek()
 
@@ -137,10 +145,8 @@ class RequestQueue:
         entry = self._remove(request_id)
         if entry is None:
             return None
+        self._n -= 1
         self._total_samples -= entry.batch
-        key = (entry.enqueued_s, entry.seq)
-        removed = self._arrival_removed
-        removed[key] = removed.get(key, 0) + 1
         return entry
 
     @property
@@ -148,58 +154,62 @@ class RequestQueue:
         """Samples summed over all queued requests (O(1) counter)."""
         return self._total_samples
 
-    def oldest_enqueued_s(self) -> "float | None":
-        """Earliest enqueue time among waiting entries (None if empty).
-
-        This anchors the coalescer's max-wait timer: even under EDF pop
-        order, no request may wait longer than max_wait.  Amortized O(1):
-        the lazy arrival heap's top is exact once popped keys are drained.
-        """
-        if not len(self):
-            return None
-        heap, removed = self._arrival_heap, self._arrival_removed
-        while heap:
-            count = removed.get(heap[0], 0)
-            if not count:
-                break
-            if count == 1:
-                del removed[heap[0]]
-            else:
-                removed[heap[0]] = count - 1
-            heapq.heappop(heap)
-        return heap[0][0]
-
 
 class FIFOQueue(RequestQueue):
-    """Arrival-order queue — the throughput-friendly default."""
+    """Arrival-order queue — the throughput-friendly default.
+
+    :meth:`oldest_enqueued_s` is O(1) from a monotonic min-deque over the
+    entries: a push first drops every tail entry enqueued later than it
+    (none of them can be the oldest while it waits), a pop drops the
+    head when it *is* the popped entry, and the rare out-of-order
+    :meth:`remove` rebuilds the deque in O(n).  Exact for any push order
+    and for duplicate request ids, since entries are matched by identity.
+    """
 
     discipline = "fifo"
 
     def __init__(self, model: str, capacity: "int | None" = None):
         super().__init__(model, capacity)
         self._entries: deque[QueueEntry] = deque()
+        self._oldest: deque[QueueEntry] = deque()
 
     def _append(self, entry: QueueEntry) -> None:
         self._entries.append(entry)
+        self._track_oldest(entry)
+
+    def _track_oldest(self, entry: QueueEntry) -> None:
+        oldest = self._oldest
+        enqueued = entry.enqueued_s
+        while oldest and oldest[-1].enqueued_s > enqueued:
+            oldest.pop()
+        oldest.append(entry)
 
     def _popleft(self) -> QueueEntry:
-        return self._entries.popleft()
+        entry = self._entries.popleft()
+        if self._oldest[0] is entry:
+            self._oldest.popleft()
+        return entry
 
     def _peek(self) -> QueueEntry:
         return self._entries[0]
 
     def _remove(self, request_id: str) -> "QueueEntry | None":
-        for i, entry in enumerate(self._entries):
+        entries = self._entries
+        for i, entry in enumerate(entries):
             if entry.request.request_id == request_id:
-                del self._entries[i]
+                del entries[i]
+                self._oldest.clear()
+                for kept in entries:
+                    self._track_oldest(kept)
                 return entry
         return None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self):
         return iter(self._entries)
+
+    def oldest_enqueued_s(self) -> "float | None":
+        oldest = self._oldest
+        return oldest[0].enqueued_s if oldest else None
 
 
 class EDFQueue(RequestQueue):
@@ -207,6 +217,9 @@ class EDFQueue(RequestQueue):
 
     Ties (equal deadlines, and all best-effort traffic) break by
     submission order, so EDF over a deadline-free stream degrades to FIFO.
+    Pop order is not arrival order, so :meth:`oldest_enqueued_s` reads a
+    lazy arrival heap: pops and removals mark their (enqueued_s, seq) key
+    removed, and the heap top is cleaned on read (amortized O(1)).
     """
 
     discipline = "edf"
@@ -215,19 +228,29 @@ class EDFQueue(RequestQueue):
         super().__init__(model, capacity)
         self._heap: list[tuple[float, int, QueueEntry]] = []
         self._sorted_view: "list[tuple[float, int, QueueEntry]] | None" = None
+        self._arrival_heap: "list[tuple[float, int]]" = []
+        self._arrival_removed: "dict[tuple[float, int], int]" = {}
 
     @staticmethod
     def _key(entry: QueueEntry) -> tuple[float, int]:
         deadline = entry.deadline_s if entry.deadline_s is not None else float("inf")
         return (deadline, entry.seq)
 
+    def _forget_arrival(self, entry: QueueEntry) -> None:
+        key = (entry.enqueued_s, entry.seq)
+        removed = self._arrival_removed
+        removed[key] = removed.get(key, 0) + 1
+
     def _append(self, entry: QueueEntry) -> None:
         heapq.heappush(self._heap, (*self._key(entry), entry))
+        heapq.heappush(self._arrival_heap, (entry.enqueued_s, entry.seq))
         self._sorted_view = None
 
     def _popleft(self) -> QueueEntry:
         self._sorted_view = None
-        return heapq.heappop(self._heap)[2]
+        entry = heapq.heappop(self._heap)[2]
+        self._forget_arrival(entry)
+        return entry
 
     def _peek(self) -> QueueEntry:
         return self._heap[0][2]
@@ -241,11 +264,9 @@ class EDFQueue(RequestQueue):
                 if i < len(heap):
                     heapq.heapify(heap)
                 self._sorted_view = None
+                self._forget_arrival(entry)
                 return entry
         return None
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def __iter__(self):
         # Deadline-order traversal over a sorted view that is computed once
@@ -254,6 +275,21 @@ class EDFQueue(RequestQueue):
         if self._sorted_view is None:
             self._sorted_view = sorted(self._heap, key=lambda t: t[:2])
         return (entry for _, _, entry in self._sorted_view)
+
+    def oldest_enqueued_s(self) -> "float | None":
+        if not self._heap:
+            return None
+        heap, removed = self._arrival_heap, self._arrival_removed
+        while heap:
+            count = removed.get(heap[0], 0)
+            if not count:
+                break
+            if count == 1:
+                del removed[heap[0]]
+            else:
+                removed[heap[0]] = count - 1
+            heapq.heappop(heap)
+        return heap[0][0]
 
 
 _DISCIPLINES = {"fifo": FIFOQueue, "edf": EDFQueue}

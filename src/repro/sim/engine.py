@@ -64,7 +64,7 @@ class EventLoop:
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
-        return self.clock.now
+        return self.clock._now   # hot: read on every arrival and routing call
 
     @property
     def pending(self) -> int:
@@ -90,6 +90,17 @@ class EventLoop:
     def window_stalls(self) -> int:
         """Bounded runs that fired nothing while work waited past the horizon."""
         return self._window_stalls
+
+    def has_due(self, time: float) -> bool:
+        """Whether a live event is queued to fire at or before ``time``.
+
+        Cancelled events at the head of the heap are dropped on the way
+        (they would be skipped when popped anyway).
+        """
+        heap, dead = self._heap, self._dead
+        while heap and heap[0].seq in dead:
+            dead.discard(heapq.heappop(heap).seq)
+        return bool(heap) and heap[0].time <= time
 
     def utilization(self) -> dict:
         """Counters for observing how busy this loop actually is.

@@ -2,7 +2,7 @@
 
 The stubs expose exactly the surface the policies are documented to read
 — :attr:`routable`, :meth:`stats` (a real :class:`NodeStats`), and the
-backlog's ``estimate_completion`` — so these tests also pin that contract.
+backlog's ``estimate_cells`` — so these tests also pin that contract.
 """
 
 import pytest
@@ -29,8 +29,8 @@ class StubBacklog:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    def estimate_completion(self, spec, batch, now):
-        return "cpu", self.delay_s
+    def estimate_cells(self, cells, now):
+        return [("cpu", self.delay_s)] * len(cells)
 
 
 class StubFrontend:

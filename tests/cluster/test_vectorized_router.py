@@ -5,16 +5,21 @@ in one balancer pass (pure policies probe once per (model, batch) cell)
 and delivers the routed entries in a single follow-up event.  Every
 balancing policy — including the stateful ones that take no memo — must
 produce digit-identical responses and fleet telemetry either way, and the
-equivalence must survive a chaos campaign with resilience armed.
+equivalence must survive a chaos campaign with resilience armed.  The
+least-ECT prices a run computes at routing time are handed to admission
+only when the delivery is the next event; a flush timer landing on the
+same instant must cancel that handoff.
 """
 
 import pytest
 
-from repro.cluster import ClusterRouter
+from repro.cluster import ClusterRouter, NodeSpec
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
+from repro.shard import digest_responses
 from repro.workloads import (
     FlashCrowdStream,
+    InferenceRequest,
     MixedTrace,
     MMPPStream,
     RequestTrace,
@@ -113,3 +118,64 @@ class TestVectorizedEquivalence:
         )
         assert len(result.responses) == 0
         assert router.n_pending == 0
+
+
+class TestPriceHandoffGuard:
+    """A coalescer flush timer due at an arrival instant blocks the handoff.
+
+    Two CPU-only nodes.  At t=0 a full batch keeps node-a's CPU busy; at
+    t1 a small request waits on idle node-b, arming its flush timer for
+    t2 = t1 + max_wait.  At t2 two more requests arrive with a 1 µs SLO.
+    Routing prices node-b at zero delay (idle CPU), but the timer fires
+    before their delivery and dispatches the waiting request, so the
+    delay admission must see is that batch's service time: both shed.
+    Reusing the routing-time price would have accepted them.
+    """
+
+    @staticmethod
+    def trace() -> RequestTrace:
+        t1 = 0.001
+        t2 = t1 + 0.005          # CLUSTER_SLO.max_wait_s: the flush instant
+        rows = [(0.0, 4096, None), (t1, 64, None), (t2, 64, 1e-6), (t2, 64, 1e-6)]
+        return RequestTrace(requests=tuple(
+            InferenceRequest(
+                request_id=i, arrival_s=t, model=MNIST_SMALL.name, batch=batch,
+                deadline_s=None if slo is None else t + slo,
+            )
+            for i, (t, batch, slo) in enumerate(rows)
+        ))
+
+    @staticmethod
+    def router(serving_predictors) -> ClusterRouter:
+        fleet = build_fleet(serving_predictors, node_specs=(
+            NodeSpec("node-a", device_classes=("cpu",)),
+            NodeSpec("node-b", device_classes=("cpu",)),
+        ))
+        return ClusterRouter(fleet, balancer="least-ect")
+
+    def test_flush_on_arrival_instant_skips_the_handoff(self, serving_predictors):
+        trace = self.trace()
+        per_event = self.router(serving_predictors).serve_trace(trace)
+
+        router = self.router(serving_predictors)
+        handoffs = []
+        deliver = router._deliver_run
+
+        def spy(deliveries, priced, _loop=None):
+            handoffs.append((router.loop.now, priced is not None))
+            return deliver(deliveries, priced, _loop)
+
+        router._deliver_run = spy
+        vectorized = router.serve_trace(trace, vectorized=True)
+
+        assert digest_responses(vectorized.responses) == digest_responses(
+            per_event.responses
+        )
+        times = sorted({r.arrival_s for r in trace})
+        assert handoffs == [(times[0], True), (times[1], True), (times[2], False)]
+        assert [(r.node_name, r.status, r.shed_reason) for r in vectorized.responses] == [
+            ("node-a", "ok", None),
+            ("node-b", "ok", None),
+            ("node-b", "shed", "deadline_unmeetable"),
+            ("node-b", "shed", "deadline_unmeetable"),
+        ]

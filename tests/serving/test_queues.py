@@ -107,9 +107,27 @@ class TestCounters:
             q.pop()
             check()
 
+    @pytest.mark.parametrize("cls", [FIFOQueue, EDFQueue])
+    def test_oldest_survives_out_of_order_removal(self, cls):
+        q = cls("m")
+        for seq, arrival in enumerate([0.4, 0.1, 0.3, 0.1, 0.6]):
+            q.push(entry(seq, arrival=arrival))
+        assert q.remove(1).seq == 1          # the first of two oldest
+        assert q.oldest_enqueued_s() == 0.1
+        assert q.remove(3).seq == 3          # the other one
+        assert q.oldest_enqueued_s() == 0.3
+        assert q.remove(99) is None
+        q.push(entry(5, arrival=0.2))
+        assert q.oldest_enqueued_s() == 0.2
+        while len(q):
+            live = list(q)
+            assert q.oldest_enqueued_s() == min(e.enqueued_s for e in live)
+            q.pop()
+        assert q.oldest_enqueued_s() is None
+
     def test_oldest_is_robust_to_duplicate_keys(self):
         # A drained-and-readopted entry can re-enter a queue carrying the
-        # same (enqueued_s, seq) key it was popped under; the lazy-deletion
+        # same (enqueued_s, seq) key it was popped under; the oldest-entry
         # bookkeeping must not evict the live duplicate.
         q = FIFOQueue("m")
         e = entry(0, arrival=1.0)

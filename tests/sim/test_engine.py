@@ -170,6 +170,35 @@ class TestCancel:
         assert results == [False]  # already popped: no longer live
 
 
+class TestHasDue:
+    def test_empty_loop_has_nothing_due(self):
+        assert not EventLoop().has_due(5.0)
+
+    def test_due_at_or_before_the_instant(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda l: None)
+        assert not loop.has_due(0.5)
+        assert loop.has_due(1.0)
+        assert loop.has_due(2.0)
+
+    def test_cancelled_head_is_not_due(self):
+        loop = EventLoop()
+        early = loop.schedule(1.0, lambda l: None)
+        loop.schedule(3.0, lambda l: None)
+        loop.cancel(early)
+        assert not loop.has_due(2.0)
+        assert loop.pending == 1
+        assert loop.run() == 3.0
+
+    def test_sees_same_instant_events_from_inside_a_callback(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule(1.0, lambda l: seen.append(l.has_due(l.now)))
+        loop.schedule(1.0, lambda l: seen.append(l.has_due(l.now)))
+        loop.run()
+        assert seen == [True, False]
+
+
 class TestScheduleRepeating:
     def test_fires_on_the_grid_then_stops(self):
         loop = EventLoop()
