@@ -165,6 +165,11 @@ def check_structure(
             for key in ("recursive_s", "flat_s", "speedup"):
                 if not (isinstance(row.get(key), (int, float)) and row[key] > 0):
                     _fail(f"{path}: forest batch {batch} has bad {key!r}")
+        # The refit-sized fit time is optional (older reports lack it) and
+        # reported only, never gated.
+        fit_s = benches["forest"].get("fit_s")
+        if fit_s is not None and not (isinstance(fit_s, (int, float)) and fit_s > 0):
+            _fail(f"{path}: benchmarks.forest has bad 'fit_s'")
     if "partition" in benches:
         for key in _PARTITION_KEYS:
             if key not in benches["partition"]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -29,6 +30,18 @@ import time
 import numpy as np
 
 SCHEMA_VERSION = 1
+
+
+def _cpu_model() -> str:
+    """The CPU model name from /proc/cpuinfo, else ``platform.processor()``."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -42,9 +55,12 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def bench_forest(tiny: bool) -> dict:
-    """Recursive vs flattened 50-tree forest ``predict_proba``."""
+    """Recursive vs flattened 50-tree forest ``predict_proba``, plus the
+    time of one online-refit-sized fit (reported, not gated)."""
     from repro.ml.forest import RandomForestClassifier
+    from repro.nn.zoo import MNIST_SMALL, SIMPLE
     from repro.sched.dataset import generate_dataset
+    from repro.sched.predictor import default_estimator
 
     dataset = generate_dataset("throughput")
     forest = RandomForestClassifier(
@@ -62,6 +78,14 @@ def bench_forest(tiny: bool) -> dict:
         "equivalent": True,
         "batches": {},
     }
+    # An online refit's shape: 2 models x 8 batches x 2 dGPU states.
+    refit = generate_dataset(
+        "throughput", specs=[SIMPLE, MNIST_SMALL],
+        batches=(1, 4, 16, 64, 256, 1024, 16384, 262144),
+    )
+    refit_forest = default_estimator()
+    out["fit_rows"] = int(refit.x.shape[0])
+    out["fit_s"] = _best_of(lambda: refit_forest.fit(refit.x, refit.y), repeats)
     for batch in batches:
         x = np.resize(dataset.x, (batch, dataset.x.shape[1]))
         if not np.array_equal(
@@ -668,6 +692,8 @@ def main(argv=None) -> int:
         "schema": SCHEMA_VERSION,
         "mode": mode,
         "platform": {
+            "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
@@ -701,6 +727,9 @@ def main(argv=None) -> int:
     if "forest" in benches:
         for batch, row in benches["forest"]["batches"].items():
             print(f"  forest batch {batch}: {row['speedup']:.1f}x flat vs recursive")
+        forest = benches["forest"]
+        print(f"  forest fit ({forest['fit_rows']} rows, 50 trees): "
+              f"{forest['fit_s'] * 1e3:.1f} ms")
     if "sweep" in benches:
         sweep = benches["sweep"]
         print(f"  sweep warm: {sweep['speedup']:.1f}x vs cold "

@@ -913,33 +913,27 @@ class ClusterRouter:
         return sum(1 for r in self._responses if not r.done)
 
     def decision_cache_stats(self) -> dict:
-        """Fleet-wide rollup of the nodes' decision-cache counters."""
-        enabled = False
-        hits = misses = entries = refit_clears = feedback_invalidations = 0
-        drift_invalidations = 0
+        """Fleet-wide rollup of the nodes' decision-cache counters.
+
+        Every numeric counter a node's ``cache_stats()`` reports is summed,
+        ``enabled`` is true if any node caches, and the hit rate is
+        recomputed from the summed hits and misses.
+        """
+        out: dict = {"enabled": False, "hits": 0, "misses": 0, "entries": 0,
+                     "refit_clears": 0, "feedback_invalidations": 0,
+                     "drift_invalidations": 0}
         for node in self.nodes:
             cache_stats = getattr(node.frontend.backlog, "cache_stats", None)
             if cache_stats is None:  # duck-typed backlog (tests, adapters)
                 continue
-            s = cache_stats()
-            enabled = enabled or s["enabled"]
-            hits += s["hits"]
-            misses += s["misses"]
-            entries += s["entries"]
-            refit_clears += s["refit_clears"]
-            feedback_invalidations += s["feedback_invalidations"]
-            drift_invalidations += s.get("drift_invalidations", 0)
-        total = hits + misses
-        return {
-            "enabled": enabled,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else 0.0,
-            "entries": entries,
-            "refit_clears": refit_clears,
-            "feedback_invalidations": feedback_invalidations,
-            "drift_invalidations": drift_invalidations,
-        }
+            for key, value in cache_stats().items():
+                if key == "enabled":
+                    out[key] = out[key] or value
+                elif key != "hit_rate":
+                    out[key] = out.get(key, 0) + value
+        total = out["hits"] + out["misses"]
+        out["hit_rate"] = (out["hits"] / total) if total else 0.0
+        return out
 
     def stats(self) -> dict:
         """Fleet snapshot: telemetry rollup plus per-node load/state."""

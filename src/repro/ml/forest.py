@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_fitted, check_xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, fit_trees
 from repro.rng import ensure_rng, spawn
 
 __all__ = ["RandomForestClassifier"]
@@ -53,41 +53,43 @@ class RandomForestClassifier(BaseEstimator):
         y = y.astype(np.int64)
         self.n_classes_ = int(y.max()) + 1
         rng = ensure_rng(self.random_state)
-        tree_rngs = spawn(rng, self.n_estimators)
         n = x.shape[0]
-        self.trees_ = []
-        for t_rng in tree_rngs:
-            if self.bootstrap:
-                idx = t_rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = DecisionTreeClassifier(
+        self.trees_, xbs, ybs = [], [], []
+        for t_rng in spawn(rng, self.n_estimators):
+            idx = t_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            self.trees_.append(DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=t_rng,
-            )
-            tree.n_classes_ = self.n_classes_  # keep proba width uniform
-            xb, yb = x[idx], y[idx]
-            tree.fit(xb, yb)
-            # fit() recomputes n_classes_ from the bootstrap labels; restore
-            # the forest-wide width so probabilities stack.
-            if tree.n_classes_ != self.n_classes_:
-                tree = self._refit_padded(tree, xb, yb)
-            self.trees_.append(tree)
+            ))
+            xbs.append(x[idx])
+            ybs.append(y[idx])
+        fit_trees(self.trees_, xbs, ybs)
+        # A tree fit on a bootstrap without the top class has narrower
+        # probabilities; regrow it padded so every tree's rows stack.
+        short = [t for t, tree in enumerate(self.trees_)
+                 if tree.n_classes_ != self.n_classes_]
+        if short:
+            self._refit_padded([self.trees_[t] for t in short],
+                               [xbs[t] for t in short], [ybs[t] for t in short])
         self._flat = None
         return self
 
-    def _refit_padded(self, tree, xb, yb) -> DecisionTreeClassifier:
-        """Refit a tree whose bootstrap missed the top class, padding the
-        label set with one synthetic no-op so proba widths match."""
-        # Append a single sample of the max class drawn from the data it
-        # would least distort: duplicate the first sample's features.
-        pad_x = np.vstack([xb, xb[:1]])
-        pad_y = np.append(yb, self.n_classes_ - 1)
-        tree.fit(pad_x, pad_y)
-        return tree
+    def _refit_padded(self, trees, xbs, ybs) -> None:
+        """Refit trees whose bootstrap missed the top class, padding each
+        label set with one synthetic no-op so proba widths match.
+
+        The pad duplicates the first sample's features, the data it would
+        least distort.  Each tree continues on its own generator, right
+        after the draws of its unpadded growth.
+        """
+        fit_trees(
+            trees,
+            [np.vstack([xb, xb[:1]]) for xb in xbs],
+            [np.append(yb, self.n_classes_ - 1) for yb in ybs],
+        )
 
     def flatten(self):
         """All fitted trees as one :class:`~repro.ml.flatten.FlatForest`

@@ -5,10 +5,11 @@ Standard greedy axis-aligned splitting with gini or entropy impurity
 ``min_samples_leaf`` controls, and ``max_features`` random feature
 subsampling (used by the random forest).
 
-The split search is fully vectorized per node: one argsort over all
-candidate features, class-count prefix sums, and an impurity evaluation
-across every (threshold, feature) pair at once — no Python loop over
-samples or features.
+Trees grow depth-first in lockstep (:func:`fit_trees`): a forest's trees
+each contribute their next node to one batched split search per step —
+one argsort over every node's candidate features, class-count prefix
+sums, and an impurity evaluation over every valid (feature, threshold)
+candidate at once.  A single tree is the one-tree case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from repro.ml.base import BaseEstimator, check_fitted, check_xy
 from repro.rng import ensure_rng
 
-__all__ = ["DecisionTreeClassifier"]
+__all__ = ["DecisionTreeClassifier", "fit_trees"]
 
 
 @dataclass
@@ -92,16 +93,7 @@ class DecisionTreeClassifier(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
-        if y.min() < 0:
-            raise ValueError("labels must be non-negative integers")
-        self.n_classes_ = int(y.max()) + 1
-        self.n_features_ = x.shape[1]
-        self._importance_raw = np.zeros(self.n_features_)
-        self._n_fit_samples = y.size
-        rng = ensure_rng(self.random_state)
-        self.root_ = self._grow(x, y, depth=0, rng=rng)
-        self._flat = None
+        fit_trees([self], [x], [y.astype(np.int64)])
         return self
 
     def _n_candidate_features(self) -> int:
@@ -115,86 +107,6 @@ class DecisionTreeClassifier(BaseEstimator):
                 f"max_features must be in [1, {self.n_features_}], got {k}"
             )
         return k
-
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int, rng) -> _Node:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
-        node = _Node(proba=counts / counts.sum())
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or y.size < 2 * self.min_samples_leaf
-            or counts.max() == counts.sum()  # pure node
-        ):
-            return node
-
-        split = self._best_split(x, y, rng)
-        if split is None:
-            return node
-        feature, threshold, parent_imp, child_imp = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        # Mean-decrease-in-impurity accounting for feature_importances_.
-        n = float(y.size)
-        self._importance_raw[feature] += (n / self._n_fit_samples) * (
-            parent_imp - child_imp
-        )
-        node.left = self._grow(x[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
-        return node
-
-    def _best_split(
-        self, x, y, rng
-    ) -> "tuple[int, float, float, float] | None":
-        """Best (feature, threshold, parent impurity, weighted child
-        impurity), or None when no split is informative.
-
-        Every candidate feature is searched at once: one stable argsort
-        over the (n, k) candidate columns, (n, k, C) class-count prefix
-        sums and one impurity pass over both sides.  Features are then
-        compared in candidate order, and a later one wins only if it is
-        better by more than 1e-12.
-        """
-        n = y.size
-        k = self._n_candidate_features()
-        if k < self.n_features_:
-            features = rng.choice(self.n_features_, size=k, replace=False)
-        else:
-            features = np.arange(self.n_features_)
-
-        xf = x[:, features]
-        order = np.argsort(xf, axis=0, kind="stable")
-        xs = xf[order, np.arange(k)]
-        # Class counts left (side 0) and right (side 1) of a split after
-        # each sorted row, per feature: (2, n, k, C).  The last left
-        # prefix holds every row, so its impurity is the parent's.
-        counts = np.empty((2, n, k, self.n_classes_))
-        np.cumsum(np.eye(self.n_classes_)[y][order], axis=0, out=counts[0])
-        np.subtract(counts[0, -1], counts[0], out=counts[1])
-        imp = _impurity(counts, self.criterion)
-        # Candidate split after row i (left = [0..i]); valid iff both
-        # sides satisfy min_samples_leaf and the value changes.
-        sizes_left = np.arange(1, n + 1, dtype=np.float64)[:, None]
-        min_leaf = self.min_samples_leaf
-        valid = np.zeros((n, k), dtype=bool)
-        valid[:-1] = xs[:-1] < xs[1:]
-        valid &= (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
-        weighted = (sizes_left * imp[0] + (n - sizes_left) * imp[1]) / n
-        weighted = np.where(valid, weighted, np.inf)
-        rows = np.argmin(weighted, axis=0)
-
-        best = None
-        best_score = np.inf
-        for j, i in enumerate(rows):
-            if weighted[i, j] < best_score - 1e-12:
-                best_score = weighted[i, j]
-                best = (j, i)
-
-        parent_imp = float(imp[0, -1, 0])
-        if best is None or best_score >= parent_imp - 1e-12:
-            return None  # no informative split
-        j, i = best
-        threshold = float(0.5 * (xs[i, j] + xs[i + 1, j]))
-        return int(features[j]), threshold, parent_imp, float(best_score)
 
     # -- inference ---------------------------------------------------------
 
@@ -328,3 +240,208 @@ class DecisionTreeClassifier(BaseEstimator):
             return walk(node.left) + walk(node.right)
 
         return walk(self.root_)
+
+
+#: Node-rows one batched split search may hold (nodes x largest node).  A
+#: step whose popped nodes need more is searched in size-sorted chunks, so
+#: a forest over a large dataset never materialises every root at once.
+_SEARCH_ROWS = 1 << 14
+
+
+def fit_trees(trees: "list[DecisionTreeClassifier]", xs, ys) -> None:
+    """Fit ``trees[t]`` on ``(xs[t], ys[t])`` for every ``t``, in lockstep.
+
+    ``xs[t]`` is a float64 (n, d) matrix and ``ys[t]`` int64 labels.  Trees
+    that share their hyperparameters, feature count and class count grow
+    together: each step pops the next depth-first node of every unfinished
+    tree and searches all of them in one batched pass (see
+    :class:`_Lockstep`).  Each tree draws its feature subsets from its own
+    generator in its own preorder, so every tree is bit-identical to the
+    one it would grow alone; :meth:`DecisionTreeClassifier.fit` is the
+    one-tree case.
+    """
+    groups: "dict[tuple, list]" = {}
+    for tree, x, y in zip(trees, xs, ys):
+        if y.min() < 0:
+            raise ValueError("labels must be non-negative integers")
+        tree.n_classes_ = int(y.max()) + 1
+        tree.n_features_ = x.shape[1]
+        tree._n_fit_samples = y.size
+        tree._flat = None
+        key = (tree.n_classes_, tree.n_features_, tree._n_candidate_features(),
+               tree.criterion, tree.max_depth, tree.min_samples_leaf)
+        groups.setdefault(key, []).append((tree, x, y))
+    for members in groups.values():
+        _Lockstep(members).grow()
+
+
+class _Lockstep:
+    """Depth-first growth of several same-shaped trees, one node each per step.
+
+    Every tree keeps an explicit stack (right child pushed before left, so
+    nodes pop in preorder).  All trees' rows live in one arena with a
+    trailing pad row; a node is a vector of arena row indices.  Each step
+    pops, per unfinished tree, nodes until one needs a split search (the
+    rest become leaves), draws that node's candidate features from the
+    tree's generator, and :meth:`_search` evaluates every popped node at
+    once.  Shorter nodes are padded to the step's largest with the pad
+    row: a NaN feature value, which sorts after every real value, and a
+    zero one-hot column, which adds nothing to any class count.  Padded
+    positions fail the per-node ``min_samples_leaf`` test, so no split can
+    land on them.
+    """
+
+    def __init__(self, members):
+        lead = members[0][0]
+        self.trees = [tree for tree, _, _ in members]
+        self.n_classes = lead.n_classes_
+        self.n_features = lead.n_features_
+        self.k = lead._n_candidate_features()
+        self.criterion = lead.criterion
+        self.max_depth = np.inf if lead.max_depth is None else lead.max_depth
+        self.min_leaf = lead.min_samples_leaf
+        self.rngs = [ensure_rng(tree.random_state) for tree in self.trees]
+        # Per-tree mean-decrease-in-impurity sums, accumulated in preorder.
+        self.importance = [[0.0] * self.n_features for _ in self.trees]
+        labels = np.concatenate([y for _, _, y in members])
+        self.x = np.vstack([x for _, x, _ in members]
+                           + [np.full((1, self.n_features), np.nan)])
+        # (C, rows + 1): class c's indicator per arena row, pad column zero.
+        self.onehot = np.zeros((self.n_classes, labels.size + 1))
+        self.onehot[labels, np.arange(labels.size)] = 1.0
+        self.pad = labels.size
+        # Ties may sort in any order: a valid split sits where the value
+        # changes, so its prefix is the same row set either way.  Only real
+        # NaNs must stay ahead of the pad rows, which needs a stable sort.
+        self.sort_kind = "stable" if np.isnan(self.x[:-1]).any() else None
+        self.stacks = []
+        start = 0
+        for tree, (_, _, y) in zip(self.trees, members):
+            counts = np.bincount(y, minlength=self.n_classes).astype(np.float64)
+            tree.root_ = _Node(proba=counts / counts.sum())
+            splittable = y.size >= 2 * self.min_leaf and counts.max() != counts.sum()
+            rows = np.arange(start, start + y.size)
+            self.stacks.append([(tree.root_, rows, 0, splittable)])
+            start += y.size
+
+    def grow(self) -> None:
+        live = range(len(self.trees))
+        every = np.arange(self.n_features)
+        while live:
+            popped, still = [], []
+            for t in live:
+                stack = self.stacks[t]
+                while stack:
+                    node, rows, depth, splittable = stack.pop()
+                    if splittable:
+                        if self.k < self.n_features:
+                            features = self.rngs[t].choice(
+                                self.n_features, size=self.k, replace=False
+                            )
+                        else:
+                            features = every
+                        popped.append((t, node, rows, depth, features))
+                        still.append(t)
+                        break
+            live = still
+            popped.sort(key=lambda item: -item[2].size)
+            while popped:
+                width = max(1, _SEARCH_ROWS // popped[0][2].size)
+                self._search(popped[:width])
+                popped = popped[width:]
+        for tree, importance in zip(self.trees, self.importance):
+            tree._importance_raw = np.array(importance)
+
+    def _search(self, popped) -> None:
+        """Best split of every popped node at once, then push its children.
+
+        Per node this is the single-node CART search: one argsort of each
+        candidate column, class-count prefix sums, the size-weighted
+        child impurity of every valid (feature, row) candidate, the first
+        minimum per feature, and the features compared in candidate order
+        (a later one wins only by more than 1e-12).
+        """
+        n_nodes = len(popped)
+        sizes = [item[2].size for item in popped]
+        width = sizes[0]
+        idx = np.full((n_nodes, width), self.pad, dtype=np.intp)
+        for b, item in enumerate(popped):
+            idx[b, : sizes[b]] = item[2]
+        features = np.array([item[4] for item in popped])[:, :, None]
+        # (B, k, N): every node's candidate columns sorted along the last
+        # axis, as arena rows and as values.
+        xf = self.x[idx[:, None, :], features]
+        order = np.argsort(xf, axis=-1, kind=self.sort_kind)
+        rows = idx[np.arange(n_nodes)[:, None, None], order]
+        xs = np.take_along_axis(xf, order, axis=-1)
+        # (C, B, k, N) class counts left of a split after each sorted row.
+        # Pad rows add nothing, so the last prefix is each node's total.
+        left = np.cumsum(self.onehot[:, rows], axis=-1)
+        # Candidate split after row i (left = [0..i]); valid iff both sides
+        # satisfy min_samples_leaf and the value changes.
+        n = np.array(sizes, dtype=np.float64)
+        sizes_left = np.arange(1, width + 1, dtype=np.float64)
+        valid = np.zeros(xs.shape, dtype=bool)
+        valid[..., :-1] = xs[..., :-1] < xs[..., 1:]
+        valid &= (sizes_left >= self.min_leaf) & (
+            n[:, None, None] - sizes_left >= self.min_leaf
+        )
+        vb, vj, vi = np.nonzero(valid)
+        # One impurity pass over every valid candidate's left and right
+        # counts plus each node's total (its parent impurity).
+        n_valid = vb.size
+        counts = np.empty((2 * n_valid + n_nodes, self.n_classes))
+        total = counts[2 * n_valid:]
+        total[:] = left[:, :, 0, -1].T
+        counts[:n_valid] = left[:, vb, vj, vi].T
+        np.subtract(total[vb], counts[:n_valid], out=counts[n_valid: 2 * n_valid])
+        imp = _impurity(counts, self.criterion)
+        parent = imp[2 * n_valid:]
+        n_left, n_v = vi + 1.0, n[vb]
+        weighted = np.full(xs.shape, np.inf)
+        weighted[vb, vj, vi] = (
+            n_left * imp[:n_valid] + (n_v - n_left) * imp[n_valid: 2 * n_valid]
+        ) / n_v
+        first = np.argmin(weighted, axis=-1)                  # (B, k)
+        scores = np.take_along_axis(weighted, first[..., None], axis=-1)[..., 0]
+        best = np.full(n_nodes, np.inf)
+        best_j = np.full(n_nodes, -1, dtype=np.intp)
+        for j in range(self.k):
+            better = scores[:, j] < best - 1e-12
+            best = np.where(better, scores[:, j], best)
+            best_j = np.where(better, j, best_j)
+        split = np.flatnonzero((best_j >= 0) & (best < parent - 1e-12))
+        if not split.size:
+            return
+        j = best_j[split]
+        i = first[split, j]
+        lo, hi = xs[split, j, i], xs[split, j, i + 1]
+        # The midpoint can round up to ``hi`` (adjacent floats) or overflow;
+        # ``lo`` then keeps the left child exactly the sorted prefix.
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        threshold = np.where(mid < hi, mid, lo).tolist()
+        feature = features[split, j, 0].tolist()
+        gain = (parent[split] - best[split]).tolist()
+        # Children's class counts come straight from the prefix sums.
+        child = np.empty((2, split.size, self.n_classes))
+        child[0] = left[:, split, j, i].T
+        np.subtract(total[split], child[0], out=child[1])
+        child_n = child.sum(axis=-1)
+        proba = child / child_n[..., None]
+        grows = ((child_n >= 2 * self.min_leaf)
+                 & (child.max(axis=-1) != child_n)).tolist()
+        child_rows = rows[split, j]
+        for s, (b, ib) in enumerate(zip(split.tolist(), i.tolist())):
+            t, node, _, depth, _ = popped[b]
+            f = node.feature = feature[s]
+            node.threshold = threshold[s]
+            self.importance[t][f] += sizes[b] / self.trees[t]._n_fit_samples * gain[s]
+            node.left = _Node(proba=proba[0, s])
+            node.right = _Node(proba=proba[1, s])
+            deeper = depth + 1 < self.max_depth
+            stack = self.stacks[t]
+            stack.append((node.right, child_rows[s, ib + 1: sizes[b]], depth + 1,
+                          deeper and grows[1][s]))
+            stack.append((node.left, child_rows[s, : ib + 1], depth + 1,
+                          deeper and grows[0][s]))

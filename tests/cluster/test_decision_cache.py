@@ -12,6 +12,7 @@ predictor must not change a single routing decision.
 import pytest
 
 from repro.cluster import ClusterRouter, NodeSpec, make_fleet
+from repro.faults import FaultInjector
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
@@ -81,6 +82,27 @@ class TestClusterEquivalence:
         per_node = [n.frontend.backlog.cache_stats() for n in router.nodes]
         assert rollup["hits"] == sum(s["hits"] for s in per_node)
         assert rollup["misses"] == sum(s["misses"] for s in per_node)
+
+    def test_rollup_sums_every_node_counter(self, serving_predictors, flood_trace):
+        """Each counter the nodes report, invalidation causes included,
+        rolls up as the per-node sum."""
+        router = ClusterRouter(
+            build_fleet(serving_predictors), balancer="least-ect", rng=123
+        )
+        injector = FaultInjector(router)
+        injector.drop_device(0.6, router.nodes[0].name, "dgpu")
+        injector.restore_device(0.8, router.nodes[0].name, "dgpu")
+        router.serve_trace(flood_trace)
+        rollup = router.decision_cache_stats()
+        per_node = [n.frontend.backlog.cache_stats() for n in router.nodes]
+        counters = set(per_node[0]) - {"enabled", "hit_rate"}
+        assert counters <= set(rollup)
+        for key in counters:
+            assert rollup[key] == sum(s[key] for s in per_node), key
+        assert rollup["mask_invalidations"] > 0
+        assert rollup["hit_rate"] == rollup["hits"] / (
+            rollup["hits"] + rollup["misses"]
+        )
 
     def test_disabled_fleet_reports_disabled(self, serving_predictors):
         router = ClusterRouter(

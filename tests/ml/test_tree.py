@@ -124,3 +124,21 @@ class TestConstraints:
         y = np.array([0, 1] * 10)
         tree = DecisionTreeClassifier().fit(x, y)
         assert tree.n_leaves_ == 1
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, np.nextafter(1.0, 2.0)),   # the midpoint rounds up to hi
+        (1e308, 1.5e308),                # lo + hi overflows to inf
+    ])
+    def test_split_threshold_keeps_both_children_nonempty(self, lo, hi):
+        """A split between two values whose float midpoint is not below the
+        upper one must still send the lower value left and the upper right.
+        The midpoint rule alone sent every row left: the right leaf held
+        no samples (a NaN distribution) and, with no depth cap, the left
+        child repeated the same split until the recursion limit."""
+        x = np.array([[lo], [hi]] * 4)
+        y = np.array([0, 1] * 4)
+        tree = DecisionTreeClassifier().fit(x, y)
+        assert tree.n_leaves_ == 2
+        assert lo <= tree.root_.threshold < hi
+        np.testing.assert_array_equal(tree.predict(x), y)
+        assert not np.isnan(tree.flatten().proba).any()

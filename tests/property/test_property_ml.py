@@ -130,3 +130,58 @@ class TestTreeProperties:
         a = DecisionTreeClassifier(max_depth=4).fit(x, y).predict(x)
         b = DecisionTreeClassifier(max_depth=4).fit(x * scales, y).predict(x * scales)
         np.testing.assert_array_equal(a, b)
+
+
+def _tree_signature(tree):
+    """Everything that defines a fitted tree, to the bit."""
+    flat = tree.flatten()
+    return (tree.n_classes_, tree.export_text(), flat.feature.tobytes(),
+            flat.threshold.tobytes(), flat.proba.tobytes(),
+            tree._importance_raw.tobytes())
+
+
+class TestLockstepForestProperties:
+    """A forest grows all its trees in one lockstep pass (one batched split
+    search per step, nodes padded to the step's largest).  Each tree must
+    be exactly the tree a batch of one grows from the same spawned
+    generator and bootstrap, so padding and per-node masks cannot leak
+    between trees."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 48),
+        n_classes=st.integers(2, 4),
+        levels=st.integers(2, 6),
+        criterion=st.sampled_from(["gini", "entropy"]),
+        max_depth=st.sampled_from([None, 1, 3, 10]),
+        min_samples_leaf=st.integers(1, 3),
+        max_features=st.sampled_from(["sqrt", None, 2]),
+        bootstrap=st.booleans(),
+    )
+    def test_every_tree_matches_its_solo_fit(
+        self, seed, n, n_classes, levels, criterion, max_depth,
+        min_samples_leaf, max_features, bootstrap,
+    ):
+        from repro.ml.forest import RandomForestClassifier
+        from repro.rng import ensure_rng, spawn
+
+        rng = np.random.default_rng(seed)
+        # Few levels per column: ties, constant columns and duplicate rows.
+        x = rng.integers(0, levels, size=(n, 5)).astype(np.float64)
+        x[:, 1] = 2.0
+        y = rng.integers(0, n_classes, size=n)
+        params = dict(criterion=criterion, max_depth=max_depth,
+                      min_samples_leaf=min_samples_leaf,
+                      max_features=max_features)
+        forest = RandomForestClassifier(
+            n_estimators=12, bootstrap=bootstrap, random_state=seed, **params
+        ).fit(x, y)
+        top = int(y.max())
+        for tree, child in zip(forest.trees_, spawn(ensure_rng(seed), 12)):
+            idx = child.integers(0, n, size=n) if bootstrap else np.arange(n)
+            solo = DecisionTreeClassifier(random_state=child, **params)
+            solo.fit(x[idx], y[idx])
+            if solo.n_classes_ != top + 1:  # the padded refit, same generator
+                solo.fit(np.vstack([x[idx], x[idx][:1]]), np.append(y[idx], top))
+            assert _tree_signature(tree) == _tree_signature(solo)
