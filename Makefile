@@ -24,7 +24,7 @@ bench-wallclock:
 	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py BENCH_hotpaths.json
 
 # Million-request replay alone: the seeded production trace (MMPP +
-# flash crowd + sessions) through the vectorized dispatch path, with the
+# flash crowd + sessions) through serve_trace's batched dispatch, with the
 # determinism digest and throughput floor enforced.
 bench-million:
 	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only million \
@@ -88,7 +88,7 @@ chaos-demo:
 partition-demo:
 	$(PY) examples/partitioned_cluster.py
 
-# Million demo: production-shaped trace replayed per-event and batched,
+# Million demo: production-shaped trace replayed per request and batched,
 # with a built-in digit-identity assertion (CI runs it with --tiny).
 million-demo:
 	$(PY) examples/million_replay.py --tiny

@@ -1,13 +1,14 @@
-"""Production-scale trace replay: batched dispatch vs per-event, verified.
+"""Production-scale trace replay: batched dispatch vs per-request, verified.
 
 Builds a seeded production-shaped trace — an MMPP burst process, a flash
 crowd and heavy-tailed user sessions interleaved over two models — and
-replays it twice through the same 4-node fleet: once on the classic
-per-event path and once on the vectorized path (TraceCursor runs +
-batched routing/admission).  The script *asserts* that both replays
-resolve every request digit-for-digit identically (status, node, device,
-virtual end time and fleet telemetry), then reports the wall-clock
-speedup the batched path buys.
+replays it twice through the same 4-node fleet: once as one
+``submit_request`` per request (the interactive path, one routing event
+each) and once through ``serve_trace`` (TraceCursor runs + batched
+routing/admission).  The script *asserts* that both replays resolve
+every request digit-for-digit identically (status, node, device, virtual
+end time and fleet telemetry), then reports the wall-clock speedup the
+batched path buys.
 
 ``--tiny`` keeps the trace small for CI; the default size is a few
 hundred thousand requests (the full million lives in
@@ -94,11 +95,22 @@ def production_trace(tiny: bool):
     return mix.build(rng=20220530)
 
 
-def replay(trace, predictors, vectorized: bool):
+def submit_each(router, trace):
+    """Reference replay: one ``submit_request`` per request, then drain."""
+    for request in trace:
+        router.submit_request(request)
+    router.run()
+    return router.result()
+
+
+def replay(trace, predictors, batched: bool):
     fleet = make_fleet(list(FLEET), predictors, SPECS, default_slo=SLO)
     router = ClusterRouter(fleet, balancer="least-ect", rng=123)
     t0 = time.perf_counter()
-    result = router.serve_trace(trace, vectorized=vectorized)
+    if batched:
+        result = router.serve_trace(trace)
+    else:
+        result = submit_each(router, trace)
     wall_s = time.perf_counter() - t0
     outcome = []
     for r in result.responses:
@@ -119,25 +131,25 @@ def main() -> int:
     predictors = train_predictors(args.tiny)
     trace = production_trace(args.tiny)
     print(f"replaying {len(trace)} requests over {trace.horizon_s:.1f}s "
-          "of simulated time, both dispatch paths...")
+          "of simulated time, per request and batched...")
 
-    per_event, telemetry_a, result, wall_a = replay(
-        trace, predictors, vectorized=False
+    per_request, telemetry_a, _, wall_a = replay(
+        trace, predictors, batched=False
     )
-    batched, telemetry_b, _, wall_b = replay(
-        trace, predictors, vectorized=True
+    batched, telemetry_b, result, wall_b = replay(
+        trace, predictors, batched=True
     )
 
     # The contract this example exists to demonstrate: batching the
     # dispatch never changes a single outcome.
-    assert per_event == batched, "vectorized replay diverged from per-event"
+    assert per_request == batched, "serve_trace diverged from submit_request"
     assert telemetry_a == telemetry_b, "fleet telemetry diverged"
-    print("digit-identical: every request resolved the same way on both "
-          "paths (statuses, nodes, devices, virtual end times, telemetry)")
+    print("digit-identical: every request resolved the same way both "
+          "ways (statuses, nodes, devices, virtual end times, telemetry)")
 
-    print(f"  per-event : {wall_a:.2f}s wall "
+    print(f"  per-request: {wall_a:.2f}s wall "
           f"({len(trace) / wall_a:,.0f} req/s)")
-    print(f"  batched   : {wall_b:.2f}s wall "
+    print(f"  batched    : {wall_b:.2f}s wall "
           f"({len(trace) / wall_b:,.0f} req/s)  "
           f"[{wall_a / wall_b:.2f}x]")
     print(f"  served {len(result.served)}, shed {len(result.shed)} "

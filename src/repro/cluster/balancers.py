@@ -76,7 +76,7 @@ class LoadBalancer:
     #: Whether :meth:`choose` is a pure function of fleet state at one
     #: instant — no internal state advanced, no randomness drawn.  Such a
     #: policy also implements :meth:`choose_run`, which the router's
-    #: vectorized arrival path calls once per run of simultaneous
+    #: trace replay calls once per run of simultaneous
     #: arrivals: nothing a pure policy reads changes between same-instant
     #: routing calls, so one pick per (model, batch) cell is exactly what
     #: the per-request path computes.  Policies that mutate per call
@@ -300,8 +300,8 @@ class FrontTier:
     the summaries (``uses_summaries = False``) are *static*: the whole
     trace can be routed upfront and the shards run to completion with no
     window synchronization at all — which is also what makes a
-    single-group static replay bit-identical to the monolithic vectorized
-    path.
+    single-group static replay bit-identical to the monolithic
+    ``serve_trace``.
     """
 
     name = "abstract"

@@ -43,7 +43,11 @@ from repro.serving.frontend import ServingFrontend, ServingResponse
 from repro.serving.queues import QueueEntry
 from repro.sim.engine import TraceCursor
 from repro.telemetry.fleet import FleetTelemetry
-from repro.workloads.requests import InferenceRequest, RequestTrace
+from repro.workloads.requests import (
+    InferenceRequest,
+    RequestTrace,
+    check_arrival_order,
+)
 
 __all__ = ["ClusterEvent", "ClusterResponse", "ClusterResult", "ClusterRouter"]
 
@@ -711,68 +715,56 @@ class ClusterRouter:
         return end
 
     def serve_trace(
-        self, trace: RequestTrace, vectorized: bool = False
+        self, trace: RequestTrace, vectorized: "bool | None" = None
     ) -> ClusterResult:
         """Replay a whole trace through the fleet and drain the loop.
 
-        Trace arrivals are ledgered first.  The default path injects one
-        routing event per request through the event loop's bulk fast path
-        — one heapify over the (typically pre-sorted) arrival array
-        instead of one ``heappush`` per request.
-
-        With ``vectorized=True`` the trace stays off the heap: a
+        The trace is ledgered and replayed by :meth:`feed_requests`: a
         :class:`~repro.sim.engine.TraceCursor` fires once per run of
-        equal timestamps, the run is routed in one pass (pure balancers —
-        ``stateless_choice`` — probe each distinct (model, batch) cell
-        once instead of once per request), and the routed entries are
-        delivered to their frontends by a single follow-up event whose
-        late sequence number lands exactly where the per-event arrivals
-        would have.  Bit-identical to the default path; the equivalence
-        tests replay mixed traces both ways, with faults and partitions
-        armed, and compare results digit for digit.
+        equal timestamps (a lone arrival is a run of length 1), the run
+        is routed in one pass (pure balancers — ``stateless_choice`` —
+        probe each distinct (model, batch) cell once instead of once per
+        request), and the routed entries reach their frontends in a
+        single follow-up event (see :meth:`_route_run`).  Outcomes match
+        submitting each request through :meth:`submit_request`, digit
+        for digit, with faults armed.
 
         With a resilience config, heartbeats are scheduled automatically
         through ``heartbeat_tail_s`` past the last arrival, so crashes
         during (or just after) the trace are detected without the caller
         wiring a :class:`~repro.faults.health.HealthMonitor` by hand.
+
+        ``vectorized`` is deprecated and ignored (there is one path).
         """
-        last_arrival = None
-        if vectorized:
-            responses = self.feed_requests(trace)
-            if responses:
-                last_arrival = responses[-1].request.arrival_s
-        else:
-            items = [
-                (request.arrival_s, partial(self._route, self._register(request), None))
-                for request in trace
-            ]
-            self.loop.schedule_bulk(items, label="route")
-            if items:
-                last_arrival = max(t for t, _ in items)
-        if self.resilience is not None and last_arrival is not None:
-            self.schedule_health(last_arrival + self.resilience.heartbeat_tail_s)
+        responses = self.feed_requests(trace)
+        if self.resilience is not None and responses:
+            self.schedule_health(
+                responses[-1].request.arrival_s + self.resilience.heartbeat_tail_s
+            )
         self.run()
         return self.result()
 
     def feed_requests(self, requests) -> "list[ClusterResponse]":
         """Ledger a batch of time-ordered requests and arm their cursor.
 
-        The vectorized ingestion step of :meth:`serve_trace`, exposed on
-        its own so a shard worker can inject each conservative window's
-        arrivals mid-simulation: requests are registered upfront (their
-        sequence block is reserved at injection time, keeping tie-breaks
-        identical to per-event scheduling) and a
+        The ingestion step of :meth:`serve_trace`, exposed on its own so
+        a shard worker can inject each conservative window's arrivals
+        mid-simulation: requests are registered upfront (their sequence
+        block is reserved at injection time, keeping tie-breaks
+        identical to one :meth:`submit_request` per request) and a
         :class:`~repro.sim.engine.TraceCursor` routes each run of equal
-        timestamps in one pass.  Arrivals must be non-decreasing and at
-        or after the loop's current time; the caller drives the loop.
+        timestamps in one pass.  Arrivals must be non-decreasing — out
+        of order raises :class:`SchedulerError` before anything is
+        ledgered — and at or after the loop's current time; the caller
+        drives the loop.
         """
+        requests = list(requests)
+        times = [request.arrival_s for request in requests]
+        check_arrival_order(times)
         responses = [self._register(request) for request in requests]
         if responses:
             TraceCursor(
-                self.loop,
-                [r.request.arrival_s for r in responses],
-                partial(self._route_run, responses),
-                label="route",
+                self.loop, times, partial(self._route_run, responses), label="route"
             ).start()
         return responses
 
@@ -811,9 +803,9 @@ class ClusterRouter:
         still ``choose`` per request.  Phase 2 is a single event at the
         same timestamp delivering the entries in submission order; its
         sequence number is allocated here, after the run's timeout arms,
-        exactly where the per-event path allocates its arrival events —
-        so timers and injector events landing on this instant interleave
-        identically on both paths.
+        exactly where per-request routing (:meth:`_route`) allocates its
+        arrival events — so timers and injector events landing on this
+        instant interleave as they would for :meth:`submit_request`.
 
         When that delivery is the very next event, nothing can move an
         estimate before it fires, so the winning delays least-ECT priced

@@ -140,14 +140,12 @@ class EventLoop:
         """Claim ``n`` consecutive sequence numbers; returns the first.
 
         Batched dispatch (:class:`TraceCursor`) fires one event per
-        *run* of same-timestamp arrivals instead of one per arrival, but
-        tie-breaking against independently scheduled events (fault
-        campaigns, coalescer timers, heartbeats) must match the
-        per-event path exactly.  Reserving the whole block at ingestion
-        time — exactly when :meth:`schedule_bulk` would have numbered
-        each arrival — and firing each run under its first arrival's
-        reserved seq makes the (time, seq) order of every event in the
-        simulation identical to the unbatched schedule.
+        *run* of same-timestamp arrivals instead of one per arrival, yet
+        ties against independently scheduled events (fault campaigns,
+        coalescer timers, heartbeats) resolve as if every arrival had
+        been enqueued by its own :meth:`schedule` call at ingestion
+        time: the block numbers the arrivals exactly as those calls
+        would have, and each run fires under its first arrival's seq.
         """
         if n < 0:
             raise ValueError(f"cannot reserve a negative block, got {n}")
@@ -194,55 +192,6 @@ class EventLoop:
         self._dead.add(seq)
         self._cancelled += 1
         return True
-
-    def schedule_bulk(
-        self,
-        items: "list[tuple[float, Callable[[EventLoop], Any]]]",
-        label: str = "",
-    ) -> int:
-        """Enqueue many (time, action) pairs in one pass.
-
-        Trace ingestion schedules tens of thousands of arrivals before the
-        first event fires; pushing them one by one costs O(n log n) sifts.
-        This fast path validates once, extends the heap, and restores the
-        invariant with a single O(n) ``heapify`` — or skips even that when
-        the heap is empty and the items arrive pre-sorted (a sorted array
-        *is* a valid min-heap).  Sequence numbers are handed out in item
-        order, so the pop order — and therefore every simulated-time
-        result — is identical to n individual :meth:`schedule` calls.
-
-        Returns the number of events enqueued.
-        """
-        now = self.clock.now
-        seq = self._seq
-        events = []
-        prev = -float("inf")
-        sorted_items = True
-        for item in items:
-            time = float(item[0])
-            if time < now:
-                raise ValueError(
-                    f"cannot schedule into the past: {time} < now={now}"
-                )
-            if time < prev:
-                sorted_items = False
-            prev = time
-            events.append(
-                ScheduledEvent(time=time, seq=seq, action=item[1], label=label)
-            )
-            seq += 1
-        self._seq = seq
-        if not events:
-            return 0
-        # Extend in place (never rebind: run() holds a local alias).  With
-        # an empty heap and sorted items the result is already a valid
-        # min-heap; otherwise one O(n) heapify restores the invariant.
-        needs_heapify = bool(self._heap) or not sorted_items
-        self._heap.extend(events)
-        self._live.update(ev.seq for ev in events)
-        if needs_heapify:
-            heapq.heapify(self._heap)
-        return len(events)
 
     def schedule_after(
         self, delay: float, action: Callable[["EventLoop"], Any], label: str = ""
@@ -346,21 +295,21 @@ class EventLoop:
 class TraceCursor:
     """Walk a sorted timestamp array, firing one callback per *run*.
 
-    Bulk-ingesting a million-request trace puts a million entries on the
-    heap: every subsequent push/pop sifts through ~log2(1e6) ≈ 20 levels
-    for the whole replay.  A cursor keeps the trace *off* the heap — one
+    Scheduling a million-request trace up front puts a million entries
+    on the heap: every subsequent push/pop sifts through ~log2(1e6) ≈ 20
+    levels for the whole replay.  A cursor keeps the trace *off* the heap — one
     live event at a time — and hands each run of equal timestamps
     ``[i, j)`` to ``on_run(i, j)`` in a single call, which is what lets
     the serving layers batch admission probes and routing decisions
     across simultaneous arrivals.
 
-    Equivalence with per-event scheduling is exact: the constructor
-    reserves one sequence number per timestamp (the same block
-    :meth:`EventLoop.schedule_bulk` would have consumed at the same
-    moment) and each run fires under its first member's reserved seq, so
-    every tie against independently scheduled events — injector
+    Tie-breaking matches one :meth:`EventLoop.schedule` call per
+    timestamp made at construction: the constructor reserves one
+    sequence number per timestamp (the block those calls would have
+    consumed) and each run fires under its first member's reserved seq,
+    so every tie against independently scheduled events — injector
     campaigns armed before ingestion, timers armed mid-replay — resolves
-    exactly as it would have for the first per-event arrival of that run.
+    exactly as it would for that run's first arrival scheduled alone.
 
     ``times`` must be non-decreasing and entirely at or after the loop's
     current time (a trace that already passed :class:`RequestTrace`

@@ -8,15 +8,22 @@ a benchmark artifact.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.rng import ensure_rng
 from repro.workloads.streams import ArrivalProcess
 
-__all__ = ["InferenceRequest", "RequestTrace", "make_trace"]
+__all__ = [
+    "InferenceRequest",
+    "RequestTrace",
+    "check_arrival_order",
+    "make_trace",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +140,21 @@ class RequestTrace:
         """Read a trace written by save()."""
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def check_arrival_order(times) -> None:
+    """Raise :class:`SchedulerError` unless ``times`` is non-decreasing.
+
+    Replay entry points call this before they touch any ledger or event
+    state, so an out-of-order request list fails whole instead of dying
+    half-replayed when its first late arrival is scheduled into the past.
+    """
+    if any(map(operator.lt, times[1:], times)):
+        k = next(k for k in range(1, len(times)) if times[k] < times[k - 1])
+        raise SchedulerError(
+            f"arrival_s must be non-decreasing: request {k} arrives at "
+            f"{times[k]} < {times[k - 1]} (request {k - 1})"
+        )
 
 
 def make_trace(

@@ -260,8 +260,8 @@ class MMPPStream(ArrivalProcess):
 
     ``quantum_s`` truncates timestamps to a production-log grid (default
     1 ms).  Real open-loop traces carry finite-resolution timestamps, so
-    simultaneous arrivals are the norm — and the serving stack's
-    vectorized arrival path batches exactly those same-timestamp runs.
+    simultaneous arrivals are the norm — and the serving stack's trace
+    replay batches exactly those same-timestamp runs.
     Set ``quantum_s=None`` for continuous timestamps.
     """
 

@@ -1,19 +1,22 @@
-"""Vectorized vs per-event cluster replay: bit-identity.
+"""Vectorized (run-batched) trace replay vs per-request submission.
 
-The router's vectorized path routes each run of same-timestamp arrivals
-in one balancer pass (pure policies probe once per (model, batch) cell)
-and delivers the routed entries in a single follow-up event.  Every
+``serve_trace`` — the only replay path — routes each run of
+same-timestamp arrivals in one balancer pass (pure policies probe once
+per (model, batch) cell) and delivers the routed entries in a single
+follow-up event.  The reference is the interactive path: one
+``submit_request`` per request, each routed by its own event.  Every
 balancing policy — including the stateful ones that take no memo — must
-produce digit-identical responses and fleet telemetry either way, and the
-equivalence must survive a chaos campaign with resilience armed.  The
-least-ECT prices a run computes at routing time are handed to admission
-only when the delivery is the next event; a flush timer landing on the
-same instant must cancel that handoff.
+produce digit-identical responses and fleet telemetry either way, and
+the equivalence must survive a chaos campaign with resilience armed.
+The least-ECT prices a run computes at routing time are handed to
+admission only when the delivery is the next event; a flush timer
+landing on the same instant must cancel that handoff.
 """
 
 import pytest
 
 from repro.cluster import ClusterRouter, NodeSpec
+from repro.errors import SchedulerError
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.shard import digest_responses
@@ -56,6 +59,17 @@ def mixed_trace(horizon_s: float = 1.0, seed: int = 17) -> RequestTrace:
     )).build(seed)
 
 
+def replay_per_request(router: ClusterRouter, trace):
+    """Reference replay: one ``submit_request`` (routing event) per request."""
+    responses = [router.submit_request(request) for request in trace]
+    if router.resilience is not None and responses:
+        router.schedule_health(
+            trace.horizon_s + router.resilience.heartbeat_tail_s
+        )
+    router.run()
+    return router.result()
+
+
 def signature(result):
     rows = []
     for r in result.responses:
@@ -76,11 +90,11 @@ class TestVectorizedEquivalence:
     def test_every_policy_is_digit_identical(self, serving_predictors, balancer):
         trace = mixed_trace()
         outcomes = []
-        for vectorized in (False, True):
+        for replay in (replay_per_request, ClusterRouter.serve_trace):
             router = ClusterRouter(
                 build_fleet(serving_predictors), balancer=balancer, rng=123
             )
-            result = router.serve_trace(trace, vectorized=vectorized)
+            result = replay(router, trace)
             assert router.n_pending == 0
             outcomes.append(signature(result))
         assert outcomes[0] == outcomes[1]
@@ -95,7 +109,7 @@ class TestVectorizedEquivalence:
         )
         trace = mixed_trace(horizon_s=0.8, seed=29)
         outcomes = []
-        for vectorized in (False, True):
+        for replay in (replay_per_request, ClusterRouter.serve_trace):
             router = ClusterRouter(
                 build_fleet(serving_predictors),
                 balancer="least-ect", rng=123, resilience=resilience,
@@ -106,18 +120,45 @@ class TestVectorizedEquivalence:
             injector.inject_errors(
                 0.2, "node-b", rate=0.5, duration_s=0.2, seed=5
             )
-            result = router.serve_trace(trace, vectorized=vectorized)
+            result = replay(router, trace)
             assert all(r.done for r in result.responses)
             outcomes.append(signature(result))
         assert outcomes[0] == outcomes[1]
 
     def test_empty_trace(self, serving_predictors):
         router = ClusterRouter(build_fleet(serving_predictors), rng=123)
-        result = router.serve_trace(
-            RequestTrace(requests=()), vectorized=True
-        )
+        result = router.serve_trace(RequestTrace(requests=()))
         assert len(result.responses) == 0
         assert router.n_pending == 0
+
+
+class TestArrivalOrder:
+    """Out-of-order arrivals are refused whole, before anything is ledgered."""
+
+    @staticmethod
+    def requests(times):
+        return [
+            InferenceRequest(
+                request_id=i, arrival_s=t, model=SIMPLE.name, batch=8
+            )
+            for i, t in enumerate(times)
+        ]
+
+    @pytest.mark.parametrize("ingest", ["serve_trace", "feed_requests"])
+    def test_unsorted_list_raises_before_any_state_changes(
+        self, serving_predictors, ingest
+    ):
+        router = ClusterRouter(build_fleet(serving_predictors), rng=123)
+        with pytest.raises(
+            SchedulerError, match=r"arrival_s .*request 2 .*0\.01 < 0\.02"
+        ):
+            getattr(router, ingest)(self.requests((0.0, 0.02, 0.01)))
+        assert router.result().responses == []
+        assert router.n_pending == 0
+        assert router.loop.pending == 0
+        # The router is untouched: a sorted replay afterwards works.
+        result = router.serve_trace(self.requests((0.0, 0.01, 0.02)))
+        assert [r.status for r in result.responses] == ["ok"] * 3
 
 
 class TestPriceHandoffGuard:
@@ -155,7 +196,7 @@ class TestPriceHandoffGuard:
 
     def test_flush_on_arrival_instant_skips_the_handoff(self, serving_predictors):
         trace = self.trace()
-        per_event = self.router(serving_predictors).serve_trace(trace)
+        per_request = replay_per_request(self.router(serving_predictors), trace)
 
         router = self.router(serving_predictors)
         handoffs = []
@@ -166,14 +207,14 @@ class TestPriceHandoffGuard:
             return deliver(deliveries, priced, _loop)
 
         router._deliver_run = spy
-        vectorized = router.serve_trace(trace, vectorized=True)
+        replayed = router.serve_trace(trace)
 
-        assert digest_responses(vectorized.responses) == digest_responses(
-            per_event.responses
+        assert digest_responses(replayed.responses) == digest_responses(
+            per_request.responses
         )
         times = sorted({r.arrival_s for r in trace})
         assert handoffs == [(times[0], True), (times[1], True), (times[2], False)]
-        assert [(r.node_name, r.status, r.shed_reason) for r in vectorized.responses] == [
+        assert [(r.node_name, r.status, r.shed_reason) for r in replayed.responses] == [
             ("node-a", "ok", None),
             ("node-b", "ok", None),
             ("node-b", "shed", "deadline_unmeetable"),

@@ -1,17 +1,23 @@
-"""Vectorized vs per-event frontend replay: bit-identity.
+"""Vectorized (run-batched) trace replay vs per-request submission.
 
-``serve_trace(vectorized=True)`` batches same-timestamp arrivals through
-a :class:`~repro.sim.engine.TraceCursor` and shares completion-estimate
-probes across a run.  Batching is an optimization, never a semantics
-change: every request must resolve with the same status, device, virtual
-end time and telemetry, digit for digit — including with a partitioned
-accelerator repartitioning mid-flood.
+``serve_trace`` — the only replay path — batches same-timestamp
+arrivals through a :class:`~repro.sim.engine.TraceCursor` and shares
+completion-estimate probes across a run.  The reference is the interactive path: one
+``submit_request`` per request, each arriving as its own event.
+Batching is an optimization, never a semantics change: every request
+must resolve with the same status, device, virtual end time and
+telemetry, digit for digit — including with a partitioned accelerator
+repartitioning mid-flood.
 """
 
+import pytest
+
+from repro.errors import SchedulerError
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
-from repro.serving import ServingFrontend, SLOConfig
+from repro.serving import ServingFrontend, ServingResult, SLOConfig
 from repro.workloads import (
     FlashCrowdStream,
+    InferenceRequest,
     MixedTrace,
     MMPPStream,
     RequestTrace,
@@ -49,6 +55,13 @@ def mixed_trace(horizon_s: float = 1.0, seed: int = 13) -> RequestTrace:
     )).build(seed)
 
 
+def replay_per_request(fe: ServingFrontend, trace):
+    """Reference replay: one ``submit_request`` (arrival event) per request."""
+    responses = [fe.submit_request(request) for request in trace]
+    fe.run()
+    return ServingResult(responses=responses, telemetry=fe.telemetry)
+
+
 def signature(result):
     rows = [
         (
@@ -65,12 +78,12 @@ class TestVectorizedEquivalence:
     def test_mixed_trace_is_digit_identical(self, serving_predictors):
         trace = mixed_trace()
         outcomes = []
-        for vectorized in (False, True):
+        for replay in (replay_per_request, ServingFrontend.serve_trace):
             fe = ServingFrontend(
                 build_scheduler(serving_predictors), SERVING_SPECS,
                 default_slo=SLO,
             )
-            result = fe.serve_trace(trace, vectorized=vectorized)
+            result = replay(fe, trace)
             assert fe.n_pending == 0
             outcomes.append(signature(result))
         assert outcomes[0] == outcomes[1]
@@ -84,7 +97,7 @@ class TestVectorizedEquivalence:
 
         trace = mixed_trace(horizon_s=0.6, seed=21)
         outcomes = []
-        for vectorized in (False, True):
+        for replay in (replay_per_request, ServingFrontend.serve_trace):
             fe = ServingFrontend(
                 build_scheduler(serving_predictors), SERVING_SPECS,
                 default_slo=SLO,
@@ -93,10 +106,10 @@ class TestVectorizedEquivalence:
                 fe, PartitionableDeviceSpec(DGPU_GTX_1080TI), start_mode=1
             )
             # Scripted split/merge while the flood is in flight; armed
-            # before ingestion on both paths, so ties resolve alike.
+            # before ingestion on both replays, so ties resolve alike.
             fe.loop.schedule(0.15, lambda _l: accel.set_mode(4), label="script")
             fe.loop.schedule(0.35, lambda _l: accel.set_mode(2), label="script")
-            result = fe.serve_trace(trace, vectorized=vectorized)
+            result = replay(fe, trace)
             assert fe.n_pending == 0
             assert accel.n_repartitions == 2
             outcomes.append(signature(result))
@@ -107,15 +120,13 @@ class TestVectorizedEquivalence:
             build_scheduler(serving_predictors), SERVING_SPECS,
             default_slo=SLO,
         )
-        result = fe.serve_trace(RequestTrace(requests=()), vectorized=True)
+        result = fe.serve_trace(RequestTrace(requests=()))
         assert len(result.responses) == 0
         assert fe.n_pending == 0
 
     def test_batch_api_matches_unbatched_delivery(self, serving_predictors):
         # register_request/deliver with an armed estimate memo must match
         # the same deliveries made one by one without the memo.
-        from repro.workloads.requests import InferenceRequest
-
         requests = [
             InferenceRequest(
                 request_id=i, arrival_s=0.0, model=SIMPLE.name, batch=64
@@ -143,3 +154,28 @@ class TestVectorizedEquivalence:
             return [(r.status, r.device, r.end_s) for r, _ in pairs]
 
         assert run_once(batched=False) == run_once(batched=True)
+
+
+class TestArrivalOrder:
+    def test_unsorted_list_raises_before_any_state_changes(
+        self, serving_predictors
+    ):
+        fe = ServingFrontend(
+            build_scheduler(serving_predictors), SERVING_SPECS,
+            default_slo=SLO,
+        )
+        requests = [
+            InferenceRequest(
+                request_id=i, arrival_s=t, model=SIMPLE.name, batch=8
+            )
+            for i, t in enumerate((0.0, 0.02, 0.01))
+        ]
+        with pytest.raises(
+            SchedulerError, match=r"arrival_s .*request 2 .*0\.01 < 0\.02"
+        ):
+            fe.serve_trace(requests)
+        assert fe.n_pending == 0
+        assert fe.loop.pending == 0
+        # The frontend is untouched: a sorted replay afterwards works.
+        result = fe.serve_trace(sorted(requests, key=lambda r: r.arrival_s))
+        assert [r.status for r in result.responses] == ["ok"] * 3

@@ -42,9 +42,9 @@ LANDMARKS = {
         "replay reproduces every response",
     ],
     "million_replay.py": [
-        "both dispatch paths",
+        "per request and batched",
         "digit-identical",
-        "per-event",
+        "per-request",
         "batched",
     ],
     "sharded_replay.py": [
